@@ -1,10 +1,18 @@
 """Cell-free massive MIMO uplink simulator with Golden-code STBC users.
 
 Dual-antenna users spread 4 symbols over two slots with the Golden code;
-distributed base stations decode linearly (ZF or MMSE) on the stacked
-equivalent channel, with the Gram inversion done exactly or by a truncated
-Neumann series, and a central unit combines the per-BS soft outputs.
+distributed base stations decode linearly (ZF or MMSE) on the equivalent
+channel, working in the Gram domain (G^H G and G^H y from H^H H and H^H Y),
+with the Gram inversion done exactly or by a truncated Neumann series, and
+a central unit combines the per-BS soft outputs.
 """
+
+import os as _os
+
+# Single-threaded BLAS unless already set: parallelism comes from worker
+# processes. No effect if numpy was imported before this package.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"
 
@@ -22,7 +30,10 @@ from .golden import (
     equivalent_channel,
     golden_params,
     large_m_diagnostic,
+    slot_maps,
     stack_system,
+    system_gram,
+    system_matched,
     vec,
     verify_exchangeability,
 )
@@ -48,6 +59,7 @@ from .metrics import (
     ber_accumulate,
     interference_noise_variance,
     sinr,
+    sinr_from_products,
     sinr_profile,
     sinr_streams,
     spectral_efficiency,

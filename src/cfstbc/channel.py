@@ -96,16 +96,19 @@ def draw_small_scale(
     """Draw an (M, J) matrix of i.i.d. CN(0, 1) fading coefficients."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    shape = (M, antennas_per_user)
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # one call draws the real parts, then the imaginary parts: the same
+    # values as two calls, without complex temporaries
+    parts = np.sqrt(0.5) * rng.standard_normal((2, M, antennas_per_user))
+    out = np.empty((M, antennas_per_user), dtype=complex)
+    out.real, out.imag = parts
+    return out
 
 
 def draw_noise(M: int, T: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (M, T) block of i.i.d. CN(0, 1) receiver noise."""
     if M < 1 or T < 1:
         raise ValueError(f"need M >= 1 and T >= 1, got M={M}, T={T}")
-    shape = (M, T)
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return draw_small_scale(M, T, rng)
 
 
 def received_block(

@@ -274,7 +274,10 @@ def _assemble(args: argparse.Namespace) -> tuple[ScenarioConfig, CliInvocation]:
     workers_text = str(merged.get("workers", "auto"))
     workers = 0
     if workers_text == "auto":
-        workers = os.cpu_count() or 1
+        try:  # the CPUs this process may run on, not all the host has
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            workers = os.cpu_count() or 1
     else:
         try:
             workers = int(workers_text)

@@ -5,7 +5,12 @@ over two slots. Its linear-dispersion structure lets the per-user model
 Y = H X + W be rewritten as vec(Y) = Htilde x + vec(W), with vec stacking
 columns (slot 1 above slot 2) and Htilde absorbing both the fading and the
 code coefficients. Stacking scaled per-user blocks side by side yields the
-full receive matrix the linear decoders operate on.
+full receive matrix G the linear decoders operate on.
+
+Because the rewrite is linear with fixed per-slot coefficients, the
+decoders' inputs G^H G and G^H vec(Y) also follow from the small fading
+products H^H H and H^H Y (:func:`system_gram`, :func:`system_matched`);
+the simulator works in that Gram domain and never forms G.
 """
 
 from __future__ import annotations
@@ -103,6 +108,43 @@ def stack_system(h_tildes: np.ndarray, betas_row: np.ndarray) -> np.ndarray:
     scaled = betas_row[:, None, None] * h_tildes
     K, rows, cols = scaled.shape
     return scaled.transpose(1, 0, 2).reshape(rows, K * cols)
+
+
+def slot_maps(
+    K: int, antennas_per_user: int, params: GoldenParams = _DEFAULT
+) -> np.ndarray:
+    """Per-slot maps C_s from fading columns to symbol columns, (T, J*K, S*K).
+
+    With H = [H_1 ... H_K] the (M, J*K) fading of one BS, slot s of the
+    stacked system (before the beta scaling) is H @ C_s. Dual-antenna users
+    give a block-diagonal C_s of the code's 2x4 per-slot coefficients (read
+    off the rewrite of H = I); single-antenna users send one symbol in one
+    slot, so their map is the identity.
+    """
+    if antennas_per_user == 1:
+        return np.eye(K, dtype=complex)[None]
+    per_slot = equivalent_channel(np.eye(2), params).reshape(2, 2, 4)
+    return np.stack([np.kron(np.eye(K), C) for C in per_slot])
+
+
+def system_gram(R: np.ndarray, betas: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """G^H G of the stacked system from the fading Gram R = H^H H, (..., J*K, J*K).
+
+    ``betas`` holds the (..., K) user gains and ``maps`` the
+    :func:`slot_maps`; the result is beta (.) beta^T (.) sum_s C_s^H R C_s.
+    """
+    Z = sum(C.conj().T @ R @ C for C in maps)
+    cols = np.repeat(betas, maps.shape[-1] // betas.shape[-1], axis=-1)
+    return cols[..., :, None] * Z * cols[..., None, :]
+
+
+def system_matched(HhY: np.ndarray, betas: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """G^H vec(Y) from the fading's matched filter H^H Y, (..., J*K, T).
+
+    Column s of ``HhY`` is slot s; the result is beta (.) sum_s C_s^H (H^H Y)[:, s].
+    """
+    mf = sum(HhY[..., s] @ C.conj() for s, C in enumerate(maps))
+    return np.repeat(betas, maps.shape[-1] // betas.shape[-1], axis=-1) * mf
 
 
 def verify_exchangeability(

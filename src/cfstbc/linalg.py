@@ -27,6 +27,9 @@ class SingularMatrixError(ValueError):
             f"matrix is not positive definite: nonpositive pivot at index {pivot}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.pivot,)
+
 
 class DegenerateSplitError(ValueError):
     """Diagonal/off-diagonal split failed: a diagonal entry is zero."""
@@ -34,6 +37,9 @@ class DegenerateSplitError(ValueError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"zero diagonal entry at index {index}; cannot split")
+
+    def __reduce__(self):
+        return type(self), (self.index,)
 
 
 @dataclass

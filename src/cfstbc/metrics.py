@@ -135,6 +135,38 @@ def spectral_efficiency(sinrs: Sequence[float]) -> float:
     return float(0.5 * np.sum(np.log2(1.0 + sinrs)))
 
 
+def sinr_from_products(
+    ag_mats: Sequence[np.ndarray],
+    noise_gains: Sequence[np.ndarray],
+    rho: float,
+    noise_term: str = NOISE_SNR_SCALED,
+) -> np.ndarray:
+    """SINR of every stream from each BS's A G and its noise gains diag(A A^H).
+
+    Both come from the Gram domain as A G = Z^-1 G^H G and
+    diag(A A^H) = diag(Z^-1 G^H G Z^-H), so the decoder A is never needed.
+    """
+    if noise_term not in _NOISE_TERMS:
+        raise ValueError(f"noise_term must be one of {_NOISE_TERMS}")
+    n = ag_mats[0].shape[0]
+    desired = np.zeros(n)
+    interference = np.zeros(n)
+    noise = np.zeros(n)
+    for AG, gains in zip(ag_mats, noise_gains):
+        P = np.abs(AG) ** 2
+        diag = np.diagonal(P)
+        desired += diag
+        interference += P.sum(axis=1) - diag
+        noise += gains
+    if noise_term == NOISE_SNR_SCALED:
+        denom = rho / 2.0 * (interference + noise)
+    else:
+        denom = rho / 2.0 * interference + noise
+    if np.any(denom == 0.0):
+        raise DegenerateSinrError("zero interference-plus-noise power")
+    return rho / 2.0 * desired / denom
+
+
 def sinr_streams(
     a_mats: Sequence[np.ndarray],
     g_mats: Sequence[np.ndarray],
@@ -145,25 +177,12 @@ def sinr_streams(
 
     Agrees with the per-index :func:`sinr` entry point.
     """
-    if noise_term not in _NOISE_TERMS:
-        raise ValueError(f"noise_term must be one of {_NOISE_TERMS}")
-    n = a_mats[0].shape[0]
-    desired = np.zeros(n)
-    interference = np.zeros(n)
-    noise = np.zeros(n)
-    for A, G in zip(a_mats, g_mats):
-        P = np.abs(A @ G) ** 2
-        diag = np.diagonal(P)
-        desired += diag
-        interference += P.sum(axis=1) - diag
-        noise += np.sum(np.abs(A) ** 2, axis=1)
-    if noise_term == NOISE_SNR_SCALED:
-        denom = rho / 2.0 * (interference + noise)
-    else:
-        denom = rho / 2.0 * interference + noise
-    if np.any(denom == 0.0):
-        raise DegenerateSinrError("zero interference-plus-noise power")
-    return rho / 2.0 * desired / denom
+    return sinr_from_products(
+        [A @ G for A, G in zip(a_mats, g_mats)],
+        [np.sum(np.abs(A) ** 2, axis=1) for A in a_mats],
+        rho,
+        noise_term,
+    )
 
 
 def sinr_profile(

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from cfstbc import ConfigError, Inversion, ScenarioConfig, run_ber_sweep, run_se_sweep
@@ -85,6 +87,22 @@ class TestParseAndValidate:
             "ber --M 16 --K 2 --snr-db 0 --workers 8".split()
         )
         assert invocation.workers == 1
+
+    def test_workers_auto_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("CFSTBC_MAX_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        _, invocation = parse_and_validate(
+            "ber --M 16 --K 2 --snr-db 0 --workers auto".split()
+        )
+        assert invocation.workers == 1
+
+    def test_workers_auto_without_affinity_call(self, monkeypatch):
+        monkeypatch.delenv("CFSTBC_MAX_WORKERS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _, invocation = parse_and_validate("ber --M 16 --K 2 --snr-db 0".split())
+        assert invocation.workers == 3
 
 
 @pytest.fixture(scope="module")

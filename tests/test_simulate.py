@@ -1,11 +1,18 @@
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfstbc import (
     ConfigError,
+    DegenerateSplitError,
     Inversion,
+    SingularMatrixError,
     ScenarioConfig,
     run_ber_sweep,
     run_se_sweep,
@@ -31,6 +38,15 @@ class TestTrialRng:
         for args in [(8, 4, 1, 2), (9, 4, 0, 2), (9, 4, 1, 3)]:
             other = trial_rng(*args, "channel").standard_normal(8)
             assert np.any(base != other)
+
+    @pytest.mark.parametrize("master_seed", [0, 9, 2**32 - 1, 2**32, 2**40 + 3])
+    def test_stream_is_seedsequence_of_the_key_tuple(self, master_seed):
+        keys = [(0, 0, 0, "beta"), (4, 1, 2, "channel"), (70000, 3, 9, "bits")]
+        for trial, l, k, purpose in keys:
+            key = (master_seed, trial, l, k, PURPOSES[purpose])
+            want = np.random.default_rng(np.random.SeedSequence(key)).standard_normal(8)
+            got = trial_rng(master_seed, trial, l, k, purpose).standard_normal(8)
+            np.testing.assert_array_equal(got, want)
 
     def test_purposes_separate_streams(self):
         draws = {
@@ -110,13 +126,20 @@ class TestBerSweep:
         ]
 
     def test_parallel_matches_serial(self):
-        # chunked reduction in trial order keeps floats bit-identical
-        cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(2.0,), trials=600, margin_trials=8)
+        # the pool gets every (point, chunk) pair at once; chunked reduction
+        # in trial order keeps floats bit-identical and progress in grid order
+        cfg = ScenarioConfig(
+            L=2, M=16, K=2, snr_grid_db=(4.0, -2.0, 2.0), trials=600, margin_trials=8
+        )
         serial = run_ber_sweep(cfg, workers=1)
-        parallel = run_ber_sweep(cfg, workers=2)
-        assert serial.points[0].estimate == parallel.points[0].estimate
-        assert serial.points[0].conv_margin_mean == parallel.points[0].conv_margin_mean
-        assert serial.points[0].complex_mults == parallel.points[0].complex_mults
+        seen = []
+        parallel = run_ber_sweep(cfg, workers=2, progress=seen.append)
+        assert [p.snr_db for p in seen] == [4.0, -2.0, 2.0]
+        assert tuple(seen) == parallel.points
+        for s, p in zip(serial.points, parallel.points):
+            assert s.estimate == p.estimate
+            assert s.conv_margin_mean == p.conv_margin_mean
+            assert s.complex_mults == p.complex_mults
 
     def test_flops_and_margins_recorded(self):
         cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=10, margin_trials=4)
@@ -195,3 +218,38 @@ class TestPresets:
         assert cfg.validate("se") == []
         assert cfg.m_grid == tuple(range(50, 550, 50))
         assert cfg.rho_fixed == 10.0
+
+
+class TestWorkerErrors:
+    """Errors raised in a worker process reach the parent through pickle."""
+
+    @pytest.mark.parametrize(
+        "error,attribute",
+        [
+            (SingularMatrixError(3), "pivot"),
+            (DegenerateSplitError(5), "index"),
+            (ConfigError(["M must be >= 1", "K must be >= 1"]), "problems"),
+        ],
+    )
+    def test_pickle_round_trip_keeps_message(self, error, attribute):
+        restored = pickle.loads(pickle.dumps(error))
+        assert type(restored) is type(error)
+        assert str(restored) == str(error)
+        assert getattr(restored, attribute) == getattr(error, attribute)
+
+
+class TestBlasThreadDefault:
+    def _blas_threads(self, env):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**env, "PYTHONPATH": str(src)}
+        code = "import cfstbc, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        return out.stdout.strip()
+
+    def test_single_threaded_unless_set(self):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        assert self._blas_threads(env) == "1"
+        assert self._blas_threads({**env, "OPENBLAS_NUM_THREADS": "3"}) == "3"
