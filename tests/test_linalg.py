@@ -78,6 +78,27 @@ class TestExactInverse:
         with pytest.raises(SingularMatrixError):
             exact_inverse(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
 
+    @pytest.mark.parametrize(
+        "row,col,value,pivot",
+        [
+            (2, 2, np.nan, 2),
+            (3, 1, np.nan, 3),
+            (1, 1, np.inf, 1),
+            (1, 1, -np.inf, 1),
+            (3, 0, np.inf, 3),
+            (4, 2, -np.inf, 4),
+            (2, 2, -1.0, 2),
+        ],
+    )
+    def test_failing_pivot_index(self, row, col, value, pivot):
+        """NaN, +-Inf on and off the diagonal, and an indefinite pivot."""
+        Z = random_hpd(5, seed=3)
+        Z[row, col] = value
+        Z[col, row] = np.conj(value)
+        with pytest.raises(SingularMatrixError) as err:
+            exact_inverse(Z)
+        assert err.value.pivot == pivot
+
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_flop_formula_matches_instrumented_oracle(self, n):
         Z = random_hpd(n, seed=n)
