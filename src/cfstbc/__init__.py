@@ -42,7 +42,6 @@ from .linalg import (
     FlopCounter,
     NeumannSplit,
     SingularMatrixError,
-    SpectralEstimate,
     convergence_margin,
     exact_inverse,
     gram,

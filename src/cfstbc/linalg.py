@@ -1,8 +1,9 @@
 """Dense complex linear algebra for linear MIMO decoding.
 
 Gram matrices, exact inversion of Hermitian positive definite matrices via
-Cholesky factorization, truncated Neumann-series approximate inversion, and
-a power-iteration diagnostic for the series' spectral convergence margin.
+one LAPACK Cholesky factorization, truncated Neumann-series approximate
+inversion, and the series' spectral convergence margin from one Hermitian
+eigen-solve.
 
 Matrices are plain complex ndarrays. Operation counts are tracked at the
 complex-operation level: one complex multiply / divide / add is one unit,
@@ -12,10 +13,10 @@ never decomposed into real flops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import zpotrf
 
 
 class SingularMatrixError(ValueError):
@@ -77,21 +78,6 @@ class NeumannSplit:
         return np.diagonal(self.D)
 
 
-class SpectralEstimate(NamedTuple):
-    """Power-iteration estimate of a spectral radius.
-
-    ``converged`` is False when the iteration budget ran out before the
-    stopping tolerance was met; ``value`` is then the last estimate.
-    """
-
-    value: float
-    converged: bool
-    iterations: int
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
 def gram(G: np.ndarray) -> np.ndarray:
     """Return the Gram matrix G^H G of a tall matrix G."""
     G = np.asarray(G)
@@ -104,26 +90,13 @@ def gram(G: np.ndarray) -> np.ndarray:
     return G.conj().T @ G
 
 
-def _cholesky_lower(Z: np.ndarray) -> np.ndarray:
-    """Left-looking Cholesky Z = L L^H, raising on the failing pivot."""
-    n = Z.shape[0]
-    L = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        d = Z[j, j].real - np.sum(np.abs(L[j, :j]) ** 2)
-        if not d > 0.0 or not np.isfinite(d):
-            raise SingularMatrixError(pivot=j)
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (Z[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j].conj()) / L[j, j]
-    return L
-
-
 def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     """Invert a Hermitian positive definite matrix.
 
-    Cholesky-factors Z = L L^H and solves the two triangular systems against
-    the identity, so Z^{-1} = L^{-H} L^{-1}. Positive definiteness is
-    validated by the factorization itself; a nonpositive pivot raises
+    Cholesky-factors Z = L L^H (LAPACK ``zpotrf``, lower triangle) and
+    solves the two triangular systems against the identity, so
+    Z^{-1} = L^{-H} L^{-1}. Positive definiteness is validated by the
+    factorization itself; a nonpositive or non-finite pivot raises
     :class:`SingularMatrixError` carrying the failing index.
 
     Recorded operation counts follow the textbook dense algorithm: the
@@ -135,14 +108,13 @@ def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarr
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {Z.shape}")
     n = Z.shape[0]
-    # LAPACK path for speed; the column loop reruns only to locate the
-    # failing pivot when the factorization breaks down.
-    try:
-        L = np.linalg.cholesky(Z)
-    except np.linalg.LinAlgError:
-        L = _cholesky_lower(Z)
-    if not np.all(np.isfinite(L)):
-        L = _cholesky_lower(Z)
+    L, info = zpotrf(Z, lower=True)
+    if info == 0 and not np.isfinite(L).all():
+        # An infinite entry can pass the factorization and surface only in
+        # L; the pivot is then the first row of L that is not finite.
+        info = 1 + int(np.argmin(np.isfinite(L).all(axis=1)))
+    if info > 0:
+        raise SingularMatrixError(pivot=info - 1)
     Zinv = cho_solve((L, True), np.eye(n, dtype=complex), check_finite=False)
     if counter is not None:
         counter.add(
@@ -216,37 +188,15 @@ def neumann_r2(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     return out
 
 
-def convergence_margin(
-    Z: np.ndarray, iters: int = 200, tol: float = 1e-8
-) -> SpectralEstimate:
-    """Estimate the spectral radius of D^{-1} E for the split of Z.
+def convergence_margin(Z: np.ndarray) -> float:
+    """Spectral radius of D^{-1} E for the split Z = D + E.
 
     The Neumann series for Z^{-1} converges iff this value is below 1.
-    Power iteration starts from the normalized all-ones vector; the running
-    estimate is the geometric mean of two consecutive growth factors, which
-    also handles spectra whose extreme eigenvalues agree in modulus but
-    differ in sign. Iteration stops once successive estimates differ by
-    less than ``tol``; running out of iterations flags the estimate as
-    unconverged rather than raising.
+    For a Hermitian Z with a positive diagonal, D^{-1} E is similar to the
+    Hermitian S = D^{-1/2} E D^{-1/2}, so the radius is max |eig(S)|, exact
+    up to rounding. S has a zero diagonal, so a diagonal Z gives exactly 0.
     """
     split = split_diag(Z)
-    n = split.E.shape[0]
-    T = split.E / split.diagonal[:, None]
-    x = np.ones(n, dtype=complex) / np.sqrt(n)
-    growth_prev = None
-    estimate = None
-    for it in range(1, max(iters, 1) + 1):
-        y = T @ x
-        growth = float(np.linalg.norm(y))
-        if growth == 0.0:
-            return SpectralEstimate(0.0, True, it)
-        x = y / growth
-        if growth_prev is not None:
-            new_estimate = float(np.sqrt(growth * growth_prev))
-            if estimate is not None and abs(new_estimate - estimate) < tol:
-                return SpectralEstimate(new_estimate, True, it)
-            estimate = new_estimate
-        growth_prev = growth
-    return SpectralEstimate(
-        estimate if estimate is not None else growth_prev, False, max(iters, 1)
-    )
+    s = 1.0 / np.sqrt(split.diagonal.real)
+    S = s[:, None] * split.E * s[None, :]
+    return float(np.max(np.abs(np.linalg.eigvalsh(S))))

@@ -278,7 +278,7 @@ def _trial(
     if cfg.decoder == "mmse":
         Z = z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1])
     zinv = np.stack([cfg.inversion.invert(z, counter) for z in Z])
-    margins = [convergence_margin(z).value for z in Z] if want_margin else []
+    margins = [convergence_margin(z) for z in Z] if want_margin else []
 
     if not ber:
         ag = zinv @ z_raw  # A G per BS

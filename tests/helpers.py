@@ -142,7 +142,7 @@ def oracle_dual_trial(cfg, rho, trial, counter, want_margin):
         soft.append(s)
         gains.append(gvec)
         if want_margin:
-            margins.append(convergence_margin(dec.gram).value)
+            margins.append(convergence_margin(dec.gram))
 
     r, g = cpu_combine(soft, gains)
     rx_bits = const.demodulate(detect(r, g, rho, const))
@@ -170,7 +170,7 @@ def oracle_single_trial(cfg, rho, trial, counter, want_margin):
         soft.append(s)
         gains.append(gvec)
         if want_margin:
-            margins.append(convergence_margin(dec.gram).value)
+            margins.append(convergence_margin(dec.gram))
 
     r, g = cpu_combine(soft, gains)
     rx_bits = const.demodulate(detect(r, g, rho_eff, const))
@@ -196,7 +196,7 @@ def oracle_se_trial(cfg, m, trial, counter, want_margin):
         a_mats.append(dec.A)
         g_mats.append(G)
         if want_margin:
-            margins.append(convergence_margin(dec.gram).value)
+            margins.append(convergence_margin(dec.gram))
     streams = sinr_streams(a_mats, g_mats, rho_machinery, cfg.noise_term)
     if dual:
         se_total = sum(

@@ -109,9 +109,8 @@ def test_criterion_04_neumann_convergence_rate():
     while accepted < 100:
         seed += 1
         Z = gram(draw_system(M=256, K=10, seed=40_000 + seed))
-        est = convergence_margin(Z, iters=3000, tol=1e-11)
-        q = est.value
-        if not (est.converged and q < 1.0):
+        q = convergence_margin(Z)
+        if not q < 1.0:
             continue
         accepted += 1
         Zinv = exact_inverse(Z)
