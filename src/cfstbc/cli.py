@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .channel import draw_small_scale
 from .golden import equivalent_channel, golden_params, stack_system, verify_exchangeability
 from .linalg import (
     DegenerateSplitError,
@@ -33,7 +32,7 @@ from .simulate import (
     ConfigError,
     RunResult,
     ScenarioConfig,
-    _draw_channels,
+    draw_trial,
     run_ber_sweep,
     run_se_sweep,
     trial_rng,
@@ -405,8 +404,10 @@ def _run_diag(args: argparse.Namespace) -> int:
     checks.append(("row-energy p = |a|^2+|c|^2", p_val, abs(p_val - 1.0) < 1e-12))
     checks.append(("row-energy s = |ab|^2+|cd|^2", s_val, abs(s_val - 1.0) < 1e-12))
 
+    cfg = ScenarioConfig(L=1, M=args.M, K=args.K, master_seed=args.seed)
+    draws = draw_trial(cfg, args.M, trial=0, ber=False)
     rng = trial_rng(args.seed, 0, 0, 0, "bits")
-    H = draw_small_scale(args.M, 2, trial_rng(args.seed, 0, 0, 0, "channel"))
+    H = draws.h[0, 0]
     residual = max(
         verify_exchangeability(
             H, rng.standard_normal(4) + 1j * rng.standard_normal(4), params
@@ -417,9 +418,7 @@ def _run_diag(args: argparse.Namespace) -> int:
         ("equivalent-channel residual", residual, residual < 1e-12 * args.M)
     )
 
-    cfg = ScenarioConfig(L=1, M=args.M, K=args.K, master_seed=args.seed)
-    channels = _draw_channels(cfg, args.M, trial=0)
-    G = stack_system(equivalent_channel(channels.h[0]), channels.profile.betas[0])
+    G = stack_system(equivalent_channel(draws.h[0]), draws.betas[0])
     margin = convergence_margin(gram(G))
     checks.append(("series convergence margin", margin, margin < 1.0))
 

@@ -1,13 +1,16 @@
 """Dense complex linear algebra for linear MIMO decoding.
 
 Gram matrices, exact inversion of Hermitian positive definite matrices via
-one LAPACK Cholesky factorization, truncated Neumann-series approximate
+one Cholesky factorization, truncated Neumann-series approximate
 inversion, and the series' spectral convergence margin from one Hermitian
 eigen-solve.
 
-Matrices are plain complex ndarrays. Operation counts are tracked at the
-complex-operation level: one complex multiply / divide / add is one unit,
-never decomposed into real flops.
+Matrices are plain complex ndarrays. The inversion routines and
+:func:`split_diag` take a stack of shape (..., n, n) and work on every
+matrix at once; a 2-D input is a stack of one. Operation counts are tracked
+at the complex-operation level: one complex multiply / divide / add is one
+unit, never decomposed into real flops. A stack records the sum of its
+matrices' counts.
 """
 
 from __future__ import annotations
@@ -75,7 +78,22 @@ class NeumannSplit:
 
     @property
     def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.D)
+        return np.diagonal(self.D, axis1=-2, axis2=-1)
+
+
+def _square_stack(Z: np.ndarray) -> tuple[np.ndarray, int]:
+    """Z as a complex (..., n, n) stack, with the number of matrices in it."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim < 2 or Z.shape[-2] != Z.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {Z.shape}")
+    return Z, int(np.prod(Z.shape[:-2]))
+
+
+def _with_diagonal(A: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A with the diagonal of every matrix in the stack set to ``values``."""
+    idx = np.arange(A.shape[-1])
+    A[..., idx, idx] = values
+    return A
 
 
 def gram(G: np.ndarray) -> np.ndarray:
@@ -90,24 +108,8 @@ def gram(G: np.ndarray) -> np.ndarray:
     return G.conj().T @ G
 
 
-def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Invert a Hermitian positive definite matrix.
-
-    Cholesky-factors Z = L L^H (LAPACK ``zpotrf``, lower triangle) and
-    solves the two triangular systems against the identity, so
-    Z^{-1} = L^{-H} L^{-1}. Positive definiteness is validated by the
-    factorization itself; a nonpositive or non-finite pivot raises
-    :class:`SingularMatrixError` carrying the failing index.
-
-    Recorded operation counts follow the textbook dense algorithm: the
-    factorization costs (n^3 - n)/6 multiplies and adds plus n(n-1)/2
-    divides, and each triangular solve against n right-hand sides costs
-    n^2(n-1)/2 multiplies and adds plus n^2 divides.
-    """
-    Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {Z.shape}")
-    n = Z.shape[0]
+def _cholesky(Z: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one matrix; the failing pivot raises."""
     L, info = zpotrf(Z, lower=True)
     if info == 0 and not np.isfinite(L).all():
         # An infinite entry can pass the factorization and surface only in
@@ -115,34 +117,66 @@ def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarr
         info = 1 + int(np.argmin(np.isfinite(L).all(axis=1)))
     if info > 0:
         raise SingularMatrixError(pivot=info - 1)
-    Zinv = cho_solve((L, True), np.eye(n, dtype=complex), check_finite=False)
+    return L
+
+
+def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+    """Invert a stack of Hermitian positive definite matrices.
+
+    Cholesky-factors every Z = L L^H at once (lower triangle) and solves
+    the two triangular systems against the identity, so
+    Z^{-1} = L^{-H} L^{-1}. Positive definiteness is validated by the
+    factorization itself; a nonpositive or non-finite pivot raises
+    :class:`SingularMatrixError` carrying the failing index of the first
+    bad matrix in the stack.
+
+    Recorded operation counts follow the textbook dense algorithm: the
+    factorization costs (n^3 - n)/6 multiplies and adds plus n(n-1)/2
+    divides, and each triangular solve against n right-hand sides costs
+    n^2(n-1)/2 multiplies and adds plus n^2 divides.
+    """
+    Z, count = _square_stack(Z)
+    n = Z.shape[-1]
+    try:
+        L = np.linalg.cholesky(Z)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or not np.isfinite(L).all():
+        # Error path: factor each matrix alone to name the failing pivot.
+        L = np.stack([_cholesky(z) for z in Z.reshape(-1, n, n)]).reshape(Z.shape)
+    eye = np.eye(n, dtype=complex)
+    Zinv = np.stack(
+        [cho_solve((f, True), eye, check_finite=False) for f in L.reshape(-1, n, n)]
+    ).reshape(Z.shape)
     if counter is not None:
         counter.add(
-            mults=(n**3 - n) // 6 + n**2 * (n - 1),
-            divs=n * (n - 1) // 2 + 2 * n**2,
-            adds=(n**3 - n) // 6 + n**2 * (n - 1),
+            mults=count * ((n**3 - n) // 6 + n**2 * (n - 1)),
+            divs=count * (n * (n - 1) // 2 + 2 * n**2),
+            adds=count * ((n**3 - n) // 6 + n**2 * (n - 1)),
         )
     return Zinv
 
 
 def split_diag(Z: np.ndarray) -> NeumannSplit:
-    """Split a square matrix into its diagonal D and remainder E, Z = D + E."""
-    Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {Z.shape}")
-    d = np.diagonal(Z)
-    zero = np.nonzero(d == 0)[0]
+    """Split square matrices into diagonal D and remainder E, Z = D + E.
+
+    A zero diagonal entry raises :class:`DegenerateSplitError` with its
+    index in the first matrix of the stack that has one.
+    """
+    Z, _ = _square_stack(Z)
+    d = np.diagonal(Z, axis1=-2, axis2=-1)
+    zero = np.argwhere(d == 0)
     if zero.size:
-        raise DegenerateSplitError(index=int(zero[0]))
-    E = Z.copy()
-    np.fill_diagonal(E, 0.0)
-    return NeumannSplit(D=np.diag(d), E=E)
+        raise DegenerateSplitError(index=int(zero[0, -1]))
+    return NeumannSplit(
+        D=_with_diagonal(np.zeros_like(Z), d), E=_with_diagonal(Z.copy(), 0.0)
+    )
 
 
 def neumann_inverse(
     Z: np.ndarray, R: int, counter: FlopCounter | None = None
 ) -> np.ndarray:
-    """R-term Neumann-series approximation of Z^{-1}.
+    """R-term Neumann-series approximation of Z^{-1}, for a stack of Z.
 
     Evaluates sum_{r=0}^{R-1} (-D^{-1} E)^r D^{-1} for the diagonal split
     Z = D + E. R=1 returns D^{-1} exactly. Convergence is not checked here;
@@ -154,48 +188,51 @@ def neumann_inverse(
     """
     if R < 1:
         raise ValueError(f"series order must be >= 1, got {R}")
+    Z, count = _square_stack(Z)
+    n = Z.shape[-1]
     split = split_diag(Z)
-    n = split.E.shape[0]
     dinv = 1.0 / split.diagonal
-    Dinv = np.diag(dinv)
-    T = -(dinv[:, None] * split.E)
+    Dinv = _with_diagonal(np.zeros_like(split.E), dinv)
+    T = -(dinv[..., :, None] * split.E)
     if counter is not None:
-        counter.add(divs=n, mults=n * (n - 1))
+        counter.add(divs=count * n, mults=count * n * (n - 1))
     result = Dinv.copy()
     term = Dinv
     for _ in range(1, R):
         term = T @ term
         result = result + term
         if counter is not None:
-            counter.add(mults=n**3, adds=n**2 * (n - 1) + n**2)
+            counter.add(mults=count * n**3, adds=count * (n**2 * (n - 1) + n**2))
     return result
 
 
 def neumann_r2(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Two-term Neumann approximation D^{-1} - D^{-1} E D^{-1}.
+    """Two-term Neumann approximation D^{-1} - D^{-1} E D^{-1}, for a stack of Z.
 
     Algebraically identical to ``neumann_inverse(Z, 2)`` but evaluated as
     two diagonal scalings of E, so the recorded cost is the cheap form:
     n divides and 2n(n-1) multiplies, no dense matrix product.
     """
+    Z, count = _square_stack(Z)
+    n = Z.shape[-1]
     split = split_diag(Z)
-    n = split.E.shape[0]
     dinv = 1.0 / split.diagonal
-    out = -((dinv[:, None] * split.E) * dinv[None, :])
-    np.fill_diagonal(out, dinv)
+    out = -((dinv[..., :, None] * split.E) * dinv[..., None, :])
     if counter is not None:
-        counter.add(divs=n, mults=2 * n * (n - 1))
-    return out
+        counter.add(divs=count * n, mults=count * 2 * n * (n - 1))
+    return _with_diagonal(out, dinv)
 
 
 def convergence_margin(Z: np.ndarray) -> float:
-    """Spectral radius of D^{-1} E for the split Z = D + E.
+    """Spectral radius of D^{-1} E for the split Z = D + E of one matrix.
 
     The Neumann series for Z^{-1} converges iff this value is below 1.
     For a Hermitian Z with a positive diagonal, D^{-1} E is similar to the
     Hermitian S = D^{-1/2} E D^{-1/2}, so the radius is max |eig(S)|, exact
     up to rounding. S has a zero diagonal, so a diagonal Z gives exactly 0.
     """
+    if np.ndim(Z) != 2:
+        raise ValueError(f"expected one matrix, got shape {np.shape(Z)}")
     split = split_diag(Z)
     s = 1.0 / np.sqrt(split.diagonal.real)
     S = s[:, None] * split.E * s[None, :]

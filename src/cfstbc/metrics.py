@@ -122,17 +122,18 @@ def sinr(
     return float(rho / 2.0 * desired / denom)
 
 
-def spectral_efficiency(sinrs: Sequence[float]) -> float:
+def spectral_efficiency(sinrs: Sequence[float]) -> float | np.ndarray:
     """Per-user SE lower bound, (1/2) sum_i log2(1 + SINR_i) over 4 streams.
 
-    The 1/2 reflects four symbols spread over two slots.
+    The 1/2 reflects four symbols spread over two slots. Leading axes of a
+    (..., 4) input are kept: one SE per user.
     """
     sinrs = np.asarray(sinrs, dtype=float)
-    if sinrs.shape != (4,):
+    if sinrs.ndim < 1 or sinrs.shape[-1] != 4:
         raise ValueError(f"expected exactly 4 stream SINRs, got shape {sinrs.shape}")
     if np.any(sinrs < 0):
         raise ValueError("SINRs must be non-negative")
-    return float(0.5 * np.sum(np.log2(1.0 + sinrs)))
+    return 0.5 * np.sum(np.log2(1.0 + sinrs), axis=-1)
 
 
 def sinr_from_products(
@@ -145,19 +146,22 @@ def sinr_from_products(
 
     Both come from the Gram domain as A G = Z^-1 G^H G and
     diag(A A^H) = diag(Z^-1 G^H G Z^-H), so the decoder A is never needed.
+    ``ag_mats`` is (..., L, n, n) and ``noise_gains`` (..., L, n) over the L
+    BSs; the leading axes are kept, and the BSs are summed in order.
     """
     if noise_term not in _NOISE_TERMS:
         raise ValueError(f"noise_term must be one of {_NOISE_TERMS}")
-    n = ag_mats[0].shape[0]
-    desired = np.zeros(n)
-    interference = np.zeros(n)
-    noise = np.zeros(n)
-    for AG, gains in zip(ag_mats, noise_gains):
-        P = np.abs(AG) ** 2
-        diag = np.diagonal(P)
+    ag_mats = np.asarray(ag_mats)
+    noise_gains = np.asarray(noise_gains)
+    desired = np.zeros(ag_mats.shape[:-3] + ag_mats.shape[-1:])
+    interference = np.zeros_like(desired)
+    noise = np.zeros_like(desired)
+    for l in range(ag_mats.shape[-3]):
+        P = np.abs(ag_mats[..., l, :, :]) ** 2
+        diag = np.diagonal(P, axis1=-2, axis2=-1)
         desired += diag
-        interference += P.sum(axis=1) - diag
-        noise += gains
+        interference += P.sum(axis=-1) - diag
+        noise += noise_gains[..., l, :]
     if noise_term == NOISE_SNR_SCALED:
         denom = rho / 2.0 * (interference + noise)
     else:
@@ -197,5 +201,5 @@ def sinr_profile(
     if n != 4 * num_users:
         raise ValueError(f"decoder has {n} streams, expected 4K = {4 * num_users}")
     values = sinr_streams(a_mats, g_mats, rho, noise_term).reshape(num_users, 4)
-    se = np.array([spectral_efficiency(row) for row in values])
+    se = spectral_efficiency(values)
     return SinrReport(sinr=values, se=se)

@@ -129,6 +129,7 @@ class Inversion:
         return "exact" if self.method == "exact" else f"neumann:{self.order}"
 
     def invert(self, Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+        """Inverse (or its approximation) of each matrix in a (..., n, n) stack."""
         if self.method == "exact":
             return linalg.exact_inverse(Z, counter)
         if self.order == 2:

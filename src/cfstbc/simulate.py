@@ -6,10 +6,13 @@ results do not depend on execution order. Sweeps aggregate per-trial
 outputs in fixed chunk order, which makes serial and parallel runs of the
 same configuration bit-identical.
 
-One trial kernel serves both scenario families and both sweep kinds. Each
-BS decodes in the Gram domain: the decoder's Gram matrix and matched filter
+One kernel serves both scenario families and both sweep kinds. Each BS
+decodes in the Gram domain: the decoder's Gram matrix and matched filter
 follow from the small fading products H^H H and H^H Y through the code's
-fixed per-slot maps (see ``golden.slot_maps``).
+fixed per-slot maps (see ``golden.slot_maps``). Each trial's M-sized draws
+are reduced to those products at once; a chunk is then decoded in blocks of
+trials as stacked (trials, L, n, n) arrays, so the per-call overhead is
+paid once per block rather than once per trial.
 
 * Dual-antenna users send 4 symbols per two-slot block through the Golden
   code.
@@ -24,11 +27,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, draw_large_scale, draw_noise, draw_small_scale
+from .channel import draw_large_scale, draw_noise, draw_small_scale
 from .golden import encode, slot_maps, system_gram, system_matched
 from .linalg import FlopCounter, convergence_margin
 from .metrics import (
@@ -44,6 +47,12 @@ PURPOSES = {"beta": 1, "channel": 2, "noise": 3, "bits": 4}
 # Trials per work unit; fixed so chunk boundaries (and therefore float
 # reduction order) never depend on the worker count.
 TRIAL_CHUNK = 256
+
+# Complex entries (256 KiB) each stacked Gram-domain array of a block may
+# hold; a block is as many trials as fit their L n x n matrices in it, so a
+# chunk's memory does not grow with its trial count. Against a trial-by-trial
+# decode, 2^16 raised the peak RSS of a full-scale point ~10 %, 2^14 < 2 %.
+BLOCK_ELEMENTS = 2**14
 
 
 class ConfigError(ValueError):
@@ -224,102 +233,123 @@ def trials_for_bits(cfg: ScenarioConfig, target_bits: int) -> int:
     return -(-target_bits // per_trial)
 
 
-def _draw_channels(cfg: ScenarioConfig, m: int, trial: int) -> ChannelRealization:
-    profile = draw_large_scale(
-        cfg.L, cfg.K, trial_rng(cfg.master_seed, trial, 0, 0, "beta")
-    )
-    h = np.empty((cfg.L, cfg.K, m, cfg.antennas_per_user), dtype=complex)
+class TrialDraws(NamedTuple):
+    """Every random input of one trial, each drawn from its own stream."""
+
+    betas: np.ndarray  # (L, K) large-scale gains
+    h: np.ndarray  # (L, K, M, J) small-scale fading
+    bits: np.ndarray | None  # (K, bits per user), BER trials only
+    noise: np.ndarray | None  # (L, M, J) unit-variance noise, BER trials only
+
+
+def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> TrialDraws:
+    """Draw one trial: the beta stream, then one channel stream per (BS, user).
+
+    BER trials add one bits stream per user and one noise stream per BS;
+    noise has one slot per user antenna (the Golden code's two slots, or
+    the single-antenna model's one).
+    """
+    seed, J = cfg.master_seed, cfg.antennas_per_user
+    profile = draw_large_scale(cfg.L, cfg.K, trial_rng(seed, trial, 0, 0, "beta"))
+    h = np.empty((cfg.L, cfg.K, m, J), dtype=complex)
     for l in range(cfg.L):
         for k in range(cfg.K):
-            h[l, k] = draw_small_scale(
-                m,
-                cfg.antennas_per_user,
-                trial_rng(cfg.master_seed, trial, l, k, "channel"),
-            )
-    return ChannelRealization(h=h, profile=profile)
-
-
-def _draw_bits(cfg: ScenarioConfig, trial: int, symbols_per_user: int) -> np.ndarray:
-    bps = cfg.constellation.bits_per_symbol
-    bits = np.empty((cfg.K, symbols_per_user * bps), dtype=np.uint8)
+            h[l, k] = draw_small_scale(m, J, trial_rng(seed, trial, l, k, "channel"))
+    if not ber:
+        return TrialDraws(profile.betas, h, None, None)
+    bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
     for k in range(cfg.K):
-        rng = trial_rng(cfg.master_seed, trial, 0, k, "bits")
-        bits[k] = rng.integers(0, 2, size=symbols_per_user * bps)
-    return bits
+        bits[k] = trial_rng(seed, trial, 0, k, "bits").integers(0, 2, size=bits.shape[1])
+    noise = np.stack(
+        [draw_noise(m, J, trial_rng(seed, trial, l, 0, "noise")) for l in range(cfg.L)]
+    )
+    return TrialDraws(profile.betas, h, bits, noise)
 
 
-def _trial(
+def _block(
     cfg: ScenarioConfig,
     maps: np.ndarray,
     m: int,
     rho: float,
-    trial: int,
+    trials: range,
     counter: FlopCounter,
-    want_margin: bool,
     ber: bool,
-) -> tuple[float, list[float]]:
-    """One trial, decoded per BS in the Gram domain and batched over the BSs.
+) -> tuple[list, list[float]]:
+    """Decode a block of trials as stacked (trials, L, ...) Gram-domain arrays.
 
     A BS decoder needs only Z = G^H G (plus the MMSE loading) and G^H y;
     both follow from the fading products R = H^H H and H^H Y through the
     code's slot ``maps``, so neither the stacked G nor the filter
-    A = Z^-1 G^H is formed. BER trials return (bit errors, margins), SE
-    trials (SE summed over users, margins).
+    A = Z^-1 G^H is formed. Returns the per-trial values to add up (one
+    bit-error count for the whole block, or each trial's SE summed over
+    users) and each margin-sampled trial's margin sum over the BSs.
     """
     dual = cfg.antennas_per_user == 2
     rho_eff = rho if dual else 2.0 * rho
-    channels = _draw_channels(cfg, m, trial)
-    betas = channels.profile.betas
-    H = channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, J*K)
-    Hh = H.conj().swapaxes(1, 2)
-    R = Hh @ H
-    z_raw = system_gram(R, betas, maps)
+    betas, R, bits, HhW = [], [], [], []
+    for t in trials:
+        draws = draw_trial(cfg, m, t, ber)
+        H = draws.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, J*K)
+        Hh = H.conj().swapaxes(1, 2)
+        betas.append(draws.betas)
+        R.append(Hh @ H)
+        if ber:
+            bits.append(draws.bits)
+            HhW.append(Hh @ (cfg.noise_scale * draws.noise))
+    betas, R = np.stack(betas), np.stack(R)
+    z_raw = system_gram(R, betas, maps)  # (trials, L, n, n)
     Z = z_raw
     if cfg.decoder == "mmse":
         Z = z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1])
-    zinv = np.stack([cfg.inversion.invert(z, counter) for z in Z])
-    margins = [convergence_margin(z) for z in Z] if want_margin else []
+    zinv = cfg.inversion.invert(Z, counter)
+    margins = [
+        sum(convergence_margin(z) for z in Z[i])
+        for i, t in enumerate(trials)
+        if t < cfg.margin_trials
+    ]
 
     if not ber:
         ag = zinv @ z_raw  # A G per BS
-        noise = np.sum(ag * zinv.conj(), axis=-1).real  # diag(A A^H)
+        # diag(A A^H). np.multiply, not `*`: on a large block the operator
+        # reuses the conj temporary in place and rounds differently.
+        noise = np.sum(np.multiply(ag, zinv.conj()), axis=-1).real
         streams = sinr_from_products(ag, noise, rho_eff, cfg.noise_term)
         if dual:
-            se = sum(spectral_efficiency(s) for s in streams.reshape(cfg.K, 4))
-            return se, margins
-        return float(np.sum(np.log2(1.0 + streams))), margins
+            # a running sum adds the users in order; np.sum would pair them
+            per_user = spectral_efficiency(streams.reshape(len(trials), cfg.K, 4))
+            return np.cumsum(per_user, axis=-1)[:, -1].tolist(), margins
+        return np.sum(np.log2(1.0 + streams), axis=-1).tolist(), margins
 
     const = cfg.constellation
-    tx_bits = _draw_bits(cfg, trial, symbols_per_user=maps.shape[-1] // cfg.K)
-    x = const.modulate(tx_bits.reshape(-1)).reshape(cfg.K, -1)
-    codes = encode(x) if dual else x[:, :, None]  # (K, J, T)
+    tx_bits = np.stack(bits)
+    x = const.modulate(tx_bits.reshape(-1)).reshape(len(trials), cfg.K, -1)
+    codes = encode(x) if dual else x[..., None]  # (trials, K, J, T)
     slots = codes.shape[-1]
-    noise = cfg.noise_scale * np.stack(
-        [
-            draw_noise(m, slots, trial_rng(cfg.master_seed, trial, l, 0, "noise"))
-            for l in range(cfg.L)
-        ]
-    )
-    sent = (betas[:, :, None, None] * codes).reshape(cfg.L, -1, slots)
-    HhY = np.sqrt(rho_eff / 2.0) * (R @ sent) + Hh @ noise
-    soft = np.einsum("lij,lj->i", zinv, system_matched(HhY, betas, maps))
-    gains = np.einsum("lij,lji->i", zinv, z_raw)  # sum over l of diag(A_l G_l)
+    sent = (betas[..., None, None] * codes[:, None]).reshape(*R.shape[:2], -1, slots)
+    HhY = np.sqrt(rho_eff / 2.0) * (R @ sent) + np.stack(HhW)
+    soft = np.einsum("tlij,tlj->ti", zinv, system_matched(HhY, betas, maps))
+    gains = np.einsum("tlij,tlji->ti", zinv, z_raw)  # sum over l of diag(A_l G_l)
     rx_bits = const.demodulate(detect(soft, gains, rho_eff, const))
-    return int(np.count_nonzero(rx_bits != tx_bits.reshape(-1))), margins
+    return [int(np.count_nonzero(rx_bits != tx_bits.reshape(-1)))], margins
 
 
 def _chunk(cfg: ScenarioConfig, m: int, rho: float, lo: int, hi: int, ber: bool):
+    """Trials lo..hi-1, decoded in blocks and summed in trial order."""
     maps = slot_maps(cfg.K, cfg.antennas_per_user)
+    n = maps.shape[-1]
+    block = max(1, BLOCK_ELEMENTS // (cfg.L * n * n))
     counter = FlopCounter()
     total = 0
     margin_sum = 0.0
     margin_count = 0
-    for t in range(lo, hi):
-        want_margin = t < cfg.margin_trials
-        value, margins = _trial(cfg, maps, m, rho, t, counter, want_margin, ber)
-        total += value
-        margin_sum += sum(margins)
-        margin_count += len(margins)
+    for start in range(lo, hi, block):
+        trials = range(start, min(start + block, hi))
+        values, margins = _block(cfg, maps, m, rho, trials, counter, ber)
+        for value in values:
+            total += value
+        for margin in margins:
+            margin_sum += margin
+        margin_count += cfg.L * len(margins)
     return {
         "total": total,
         "margin_sum": margin_sum,
@@ -442,7 +472,7 @@ def desk_ber_config(**overrides) -> ScenarioConfig:
 def full_ber_config(**overrides) -> ScenarioConfig:
     """Large BER scenario (M=256, K=10), not run in CI.
 
-    One curve is 27,500 trials: about 2.4 minutes serial and 1.2 minutes
+    One curve is 27,500 trials: about 2.3 minutes serial and 1.1 minutes
     with two workers on a 2-core Xeon VM.
     """
     base = ScenarioConfig(

@@ -3,12 +3,13 @@
 import numpy as np
 
 from cfstbc import (
+    ChannelRealization,
     FlopCounter,
+    LargeScaleProfile,
     convergence_margin,
     cpu_combine,
     detect,
     draw_large_scale,
-    draw_noise,
     draw_small_scale,
     encode,
     equivalent_channel,
@@ -18,11 +19,10 @@ from cfstbc import (
     sinr_streams,
     spectral_efficiency,
     stack_system,
-    trial_rng,
     vec,
     zf_matrix,
 )
-from cfstbc.simulate import ScenarioConfig, _draw_bits, _draw_channels
+from cfstbc.simulate import ScenarioConfig, draw_trial
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -113,7 +113,11 @@ def random_hpd(n: int, seed: int, spread: float = 1.0) -> np.ndarray:
 
 # Stacked-system trial oracles: each BS builds the 2M x 4K equivalent channel
 # G and the 4K x 2M decoder A = Z^-1 G^H, the path the Gram-domain kernel in
-# ``cfstbc.simulate`` replaced. Same draws, same inversion calls.
+# ``cfstbc.simulate`` replaced, one trial and one BS at a time. Same draws.
+
+
+def _channels(draws) -> ChannelRealization:
+    return ChannelRealization(h=draws.h, profile=LargeScaleProfile(draws.betas))
 
 
 def _build_decoder(cfg: ScenarioConfig, G, rho: float, counter: FlopCounter):
@@ -125,14 +129,15 @@ def _build_decoder(cfg: ScenarioConfig, G, rho: float, counter: FlopCounter):
 def oracle_dual_trial(cfg, rho, trial, counter, want_margin):
     """One Golden-code block through the stacked chain; (errors, bits, margins)."""
     const = cfg.constellation
-    channels = _draw_channels(cfg, cfg.M, trial)
-    tx_bits = _draw_bits(cfg, trial, symbols_per_user=4)
+    draws = draw_trial(cfg, cfg.M, trial)
+    channels = _channels(draws)
+    tx_bits = draws.bits
     x = np.stack([const.modulate(tx_bits[k]) for k in range(cfg.K)])
     codes = encode(x)
 
     soft, gains, margins = [], [], []
     for l in range(cfg.L):
-        noise = draw_noise(cfg.M, 2, trial_rng(cfg.master_seed, trial, l, 0, "noise"))
+        noise = draws.noise[l]
         if cfg.noise_scale != 1.0:
             noise = noise * cfg.noise_scale
         Y = received_block(channels, codes, rho, noise, l)
@@ -153,15 +158,16 @@ def oracle_dual_trial(cfg, rho, trial, counter, want_margin):
 def oracle_single_trial(cfg, rho, trial, counter, want_margin):
     """One slot of the single-antenna chain; (errors, bits, margins)."""
     const = cfg.constellation
-    channels = _draw_channels(cfg, cfg.M, trial)
-    tx_bits = _draw_bits(cfg, trial, symbols_per_user=1)
+    draws = draw_trial(cfg, cfg.M, trial)
+    channels = _channels(draws)
+    tx_bits = draws.bits
     x = np.concatenate([const.modulate(tx_bits[k]) for k in range(cfg.K)])
     rho_eff = 2.0 * rho
 
     soft, gains, margins = [], [], []
     for l in range(cfg.L):
         G = channels.h[l, :, :, 0].T * channels.profile.betas[l][None, :]
-        w = draw_noise(cfg.M, 1, trial_rng(cfg.master_seed, trial, l, 0, "noise"))[:, 0]
+        w = draws.noise[l, :, 0]
         if cfg.noise_scale != 1.0:
             w = w * cfg.noise_scale
         y = np.sqrt(rho) * (G @ x) + w
@@ -181,7 +187,7 @@ def oracle_single_trial(cfg, rho, trial, counter, want_margin):
 def oracle_se_trial(cfg, m, trial, counter, want_margin):
     """Per-user SE summed over users for one realization; (se, margins)."""
     rho = cfg.rho_fixed
-    channels = _draw_channels(cfg, m, trial)
+    channels = _channels(draw_trial(cfg, m, trial, ber=False))
     a_mats, g_mats, margins = [], [], []
     dual = cfg.antennas_per_user == 2
     rho_machinery = rho if dual else 2.0 * rho

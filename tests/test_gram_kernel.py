@@ -1,4 +1,4 @@
-"""Gram-domain trial kernel against the stacked-system oracles in helpers."""
+"""Gram-domain chunk kernel against the stacked-system oracles in helpers."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,19 @@ from cfstbc import (
     FlopCounter,
     Inversion,
     ScenarioConfig,
+    draw_large_scale,
+    draw_noise,
+    draw_small_scale,
     equivalent_channel,
     slot_maps,
     stack_system,
     system_gram,
     system_matched,
+    trial_rng,
     vec,
 )
-from cfstbc.simulate import _trial
+from cfstbc import simulate
+from cfstbc.simulate import _chunk, draw_trial
 from helpers import (
     oracle_dual_trial,
     oracle_se_trial,
@@ -99,24 +104,32 @@ def _config(decoder, inversion, antennas, **fields):
     )
 
 
+def _ops(chunk):
+    return FlopCounter(chunk["mults"], chunk["divs"], chunk["adds"])
+
+
 @pytest.mark.parametrize("decoder,inversion,antennas", CASES)
 def test_ber_trials_match_oracle(decoder, inversion, antennas):
+    """Each trial run as a one-trial chunk, against the per-BS stacked chain."""
     oracle = oracle_dual_trial if antennas == 2 else oracle_single_trial
     compared = 0
     for seed in (0, 7, 2024):
-        cfg = _config(decoder, inversion, antennas, L=4, M=64, K=4, master_seed=seed)
-        maps = slot_maps(cfg.K, antennas)
+        cfg = _config(
+            decoder, inversion, antennas, L=4, M=64, K=4, master_seed=seed,
+            margin_trials=2,
+        )
         for snr_db in (-10.0, 0.0, 10.0):
             rho = 10.0 ** (snr_db / 10.0)
             for t in range(6):
-                ops, want_ops = FlopCounter(), FlopCounter()
-                errors, margins = _trial(cfg, maps, cfg.M, rho, t, ops, t < 2, ber=True)
+                chunk = _chunk(cfg, cfg.M, rho, t, t + 1, ber=True)
+                want_ops = FlopCounter()
                 want, bits, want_margins = oracle(cfg, rho, t, want_ops, t < 2)
-                assert errors == want, (seed, snr_db, t)
+                assert chunk["total"] == want, (seed, snr_db, t)
                 assert bits == cfg.bits_per_trial()
-                assert ops == want_ops
-                np.testing.assert_allclose(margins, want_margins, rtol=0, atol=1e-12)
-                compared += errors > 0
+                assert _ops(chunk) == want_ops
+                assert chunk["margin_count"] == len(want_margins)
+                assert abs(chunk["margin_sum"] - sum(want_margins)) <= 1e-12
+                compared += want > 0
     assert compared > 0, "no trial had bit errors; the comparison is vacuous"
 
 
@@ -125,14 +138,70 @@ def test_ber_trials_match_oracle(decoder, inversion, antennas):
 def test_se_trials_match_oracle(decoder, inversion, antennas, noise_term):
     cfg = _config(
         decoder, inversion, antennas, L=4, K=10, rho_fixed=10.0,
-        master_seed=808, noise_term=noise_term,
+        master_seed=808, noise_term=noise_term, margin_trials=1,
     )
-    maps = slot_maps(cfg.K, antennas)
     for m in (50, 200):
         for t in range(3):
-            ops, want_ops = FlopCounter(), FlopCounter()
-            se, _ = _trial(cfg, maps, m, cfg.rho_fixed, t, ops, False, ber=False)
-            want, _ = oracle_se_trial(cfg, m, t, want_ops, False)
-            assert abs(se - want) <= 1e-12 * abs(want)
-            assert ops == want_ops
+            chunk = _chunk(cfg, m, cfg.rho_fixed, t, t + 1, ber=False)
+            want_ops = FlopCounter()
+            want, want_margins = oracle_se_trial(cfg, m, t, want_ops, t < 1)
+            assert abs(chunk["total"] - want) <= 1e-12 * abs(want)
+            assert _ops(chunk) == want_ops
+            assert abs(chunk["margin_sum"] - sum(want_margins)) <= 1e-12
 
+
+@pytest.mark.parametrize(
+    "decoder,inversion,antennas,ber",
+    [("zf", "exact", 2, True), ("mmse", "neumann:2", 1, True), ("mmse", "exact", 2, False)],
+)
+def test_blocks_do_not_change_a_chunk(monkeypatch, decoder, inversion, antennas, ber):
+    """One trial a block gives the same chunk as the default blocks.
+
+    Every field is also the in-order sum over the chunk's one-trial chunks,
+    floats included: the per-trial values may not depend on the block.
+    """
+    cfg = _config(
+        decoder, inversion, antennas, L=4, M=64, K=4, master_seed=31,
+        margin_trials=40,
+    )
+    rho = 1.0 if ber else cfg.rho_fixed
+    blocked = _chunk(cfg, cfg.M, rho, 0, 256, ber)
+    assert blocked["total"] > 0, "nothing to compare"
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)
+    assert _chunk(cfg, cfg.M, rho, 0, 256, ber) == blocked
+    singles = [_chunk(cfg, cfg.M, rho, t, t + 1, ber) for t in range(256)]
+    for name, value in blocked.items():
+        assert value == sum(c[name] for c in singles), name
+    # a float total can absorb a last-bit change; the per-trial values cannot
+    maps = slot_maps(cfg.K, antennas)
+    values, margins = simulate._block(cfg, maps, cfg.M, rho, range(256), FlopCounter(), ber)
+    if not ber:
+        assert values == [c["total"] for c in singles]
+    assert margins == [c["margin_sum"] for c in singles[: cfg.margin_trials]]
+
+
+@pytest.mark.parametrize("antennas", [1, 2])
+def test_draw_trial_reads_the_keyed_streams(antennas):
+    """Every draw is pinned to its own (seed, trial, BS, user, purpose) stream."""
+    cfg = ScenarioConfig(
+        L=3, M=12, K=2, antennas_per_user=antennas, master_seed=99,
+        modulation="4qam",
+    )
+    seed, t, J = cfg.master_seed, 5, antennas
+    draws = draw_trial(cfg, cfg.M, t)
+    betas = draw_large_scale(cfg.L, cfg.K, trial_rng(seed, t, 0, 0, "beta")).betas
+    np.testing.assert_array_equal(draws.betas, betas)
+    for l in range(cfg.L):
+        for k in range(cfg.K):
+            want = draw_small_scale(cfg.M, J, trial_rng(seed, t, l, k, "channel"))
+            np.testing.assert_array_equal(draws.h[l, k], want)
+        want = draw_noise(cfg.M, J, trial_rng(seed, t, l, 0, "noise"))
+        np.testing.assert_array_equal(draws.noise[l], want)
+    per_user = cfg.bits_per_trial() // cfg.K
+    for k in range(cfg.K):
+        want = trial_rng(seed, t, 0, k, "bits").integers(0, 2, size=per_user)
+        np.testing.assert_array_equal(draws.bits[k], want)
+    assert draws.bits.dtype == np.uint8
+    se_draws = draw_trial(cfg, cfg.M, t, ber=False)
+    assert se_draws.bits is None and se_draws.noise is None
+    np.testing.assert_array_equal(se_draws.h, draws.h)

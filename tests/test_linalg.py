@@ -240,6 +240,86 @@ class TestSeriesConvergenceRate:
         assert C < 10.0 * errors[0]
 
 
+INVERTERS = {
+    "exact": exact_inverse,
+    "neumann_r2": neumann_r2,
+    "neumann_inverse_3": lambda Z, counter=None: neumann_inverse(Z, 3, counter),
+}
+
+
+def _hpd_stack(n, seed, count, spread=1.0):
+    return np.stack([random_hpd(n, seed + i, spread) for i in range(count)])
+
+
+class TestStackedInversion:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        lead=st.sampled_from([(1,), (3,), (2, 3)]),
+        seed=st.integers(0, 2**31),
+        spread=st.floats(0.0, 3.0),
+        loading=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    )
+    def test_stack_matches_per_matrix_calls(self, n, lead, seed, spread, loading):
+        count = int(np.prod(lead))
+        Z = _hpd_stack(n, seed, count, spread) + loading * np.eye(n)
+        Z = Z.reshape(*lead, n, n)
+        for name, invert in INVERTERS.items():
+            stacked, single = FlopCounter(), FlopCounter()
+            out = invert(Z, stacked)
+            want = np.stack([invert(z, single) for z in Z.reshape(-1, n, n)])
+            assert out.shape == Z.shape, name
+            scale = np.abs(want).max()
+            assert np.abs(out.reshape(-1, n, n) - want).max() <= 1e-12 * scale, name
+            assert stacked == single, name
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize(
+        "row,col,value",
+        [
+            (2, 2, np.nan),
+            (3, 1, np.nan),
+            (1, 1, np.inf),
+            (1, 1, -np.inf),
+            (3, 0, np.inf),
+            (4, 2, -np.inf),
+            (2, 2, -1.0),
+        ],
+    )
+    def test_bad_matrix_in_stack_reports_its_pivot(self, index, row, col, value):
+        Z = _hpd_stack(5, seed=3, count=4)
+        Z[index, row, col] = value
+        Z[index, col, row] = np.conj(value)
+        with pytest.raises(SingularMatrixError) as alone:
+            exact_inverse(Z[index])
+        with pytest.raises(SingularMatrixError) as err:
+            exact_inverse(Z)
+        assert err.value.pivot == alone.value.pivot
+
+    def test_first_bad_matrix_wins(self):
+        Z = _hpd_stack(5, seed=3, count=4)
+        Z[1, 3, 3] = -1.0
+        Z[2, 0, 0] = -1.0
+        with pytest.raises(SingularMatrixError) as err:
+            exact_inverse(Z)
+        assert err.value.pivot == 3
+
+    @pytest.mark.parametrize(
+        "call", [split_diag, INVERTERS["neumann_r2"], INVERTERS["neumann_inverse_3"]]
+    )
+    def test_zero_diagonal_in_stack_reports_its_index(self, call):
+        Z = _hpd_stack(4, seed=8, count=3)
+        Z[1, 2, 2] = 0.0
+        Z[2, 0, 0] = 0.0
+        with pytest.raises(DegenerateSplitError) as err:
+            call(Z)
+        assert err.value.index == 2
+
+    def test_margin_takes_one_matrix(self):
+        with pytest.raises(ValueError, match="one matrix"):
+            convergence_margin(_hpd_stack(3, seed=1, count=2))
+
+
 class TestFlopOrdering:
     @pytest.mark.parametrize("n", [16, 24, 40])
     def test_r2_cheaper_than_exact(self, n):
