@@ -407,7 +407,8 @@ def _run_diag(args: argparse.Namespace) -> int:
     cfg = ScenarioConfig(L=1, M=args.M, K=args.K, master_seed=args.seed)
     draws = draw_trial(cfg, args.M, trial=0, ber=False)
     rng = trial_rng(args.seed, 0, 0, 0, "bits")
-    H = draws.h[0, 0]
+    channels = draws.channels
+    H = channels.h[0, 0]
     residual = max(
         verify_exchangeability(
             H, rng.standard_normal(4) + 1j * rng.standard_normal(4), params
@@ -418,7 +419,7 @@ def _run_diag(args: argparse.Namespace) -> int:
         ("equivalent-channel residual", residual, residual < 1e-12 * args.M)
     )
 
-    G = stack_system(equivalent_channel(draws.h[0]), draws.betas[0])
+    G = stack_system(equivalent_channel(channels.h[0]), channels.profile.betas[0])
     margin = convergence_margin(gram(G))
     checks.append(("series convergence margin", margin, margin < 1.0))
 

@@ -6,11 +6,12 @@ inversion, and the series' spectral convergence margin from one Hermitian
 eigen-solve.
 
 Matrices are plain complex ndarrays. The inversion routines and
-:func:`split_diag` take a stack of shape (..., n, n) and work on every
-matrix at once; a 2-D input is a stack of one. Operation counts are tracked
-at the complex-operation level: one complex multiply / divide / add is one
-unit, never decomposed into real flops. A stack records the sum of its
-matrices' counts.
+:func:`split_diag` take a stack of shape (..., n, n); a 2-D input is a
+stack of one. The Neumann routines broadcast over the stack, and exact
+inversion factors its matrices one LAPACK call each. Operation counts are
+tracked at the complex-operation level: one complex multiply / divide /
+add is one unit, never decomposed into real flops. A stack records the
+sum of its matrices' counts.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import zpotrf
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 
 class SingularMatrixError(ValueError):
@@ -123,12 +123,11 @@ def _cholesky(Z: np.ndarray) -> np.ndarray:
 def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     """Invert a stack of Hermitian positive definite matrices.
 
-    Cholesky-factors every Z = L L^H at once (lower triangle) and solves
-    the two triangular systems against the identity, so
-    Z^{-1} = L^{-H} L^{-1}. Positive definiteness is validated by the
-    factorization itself; a nonpositive or non-finite pivot raises
-    :class:`SingularMatrixError` carrying the failing index of the first
-    bad matrix in the stack.
+    Cholesky-factors each Z = L L^H (lower triangle) and solves the two
+    triangular systems against the identity, so Z^{-1} = L^{-H} L^{-1}.
+    Positive definiteness is validated by the factorization itself; a
+    nonpositive or non-finite pivot raises :class:`SingularMatrixError`
+    carrying the failing index of the first bad matrix in the stack.
 
     Recorded operation counts follow the textbook dense algorithm: the
     factorization costs (n^3 - n)/6 multiplies and adds plus n(n-1)/2
@@ -137,16 +136,10 @@ def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarr
     """
     Z, count = _square_stack(Z)
     n = Z.shape[-1]
-    try:
-        L = np.linalg.cholesky(Z)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is None or not np.isfinite(L).all():
-        # Error path: factor each matrix alone to name the failing pivot.
-        L = np.stack([_cholesky(z) for z in Z.reshape(-1, n, n)]).reshape(Z.shape)
     eye = np.eye(n, dtype=complex)
+    # zpotrs is the solver scipy's cho_solve calls, without its per-call checks
     Zinv = np.stack(
-        [cho_solve((f, True), eye, check_finite=False) for f in L.reshape(-1, n, n)]
+        [zpotrs(_cholesky(z), eye, lower=True)[0] for z in Z.reshape(-1, n, n)]
     ).reshape(Z.shape)
     if counter is not None:
         counter.add(

@@ -31,7 +31,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import draw_large_scale, draw_noise, draw_small_scale
+from .channel import (
+    ChannelRealization,
+    draw_large_scale,
+    draw_noise,
+    draw_small_scale,
+)
 from .golden import encode, slot_maps, system_gram, system_matched
 from .linalg import FlopCounter, convergence_margin
 from .metrics import (
@@ -236,8 +241,7 @@ def trials_for_bits(cfg: ScenarioConfig, target_bits: int) -> int:
 class TrialDraws(NamedTuple):
     """Every random input of one trial, each drawn from its own stream."""
 
-    betas: np.ndarray  # (L, K) large-scale gains
-    h: np.ndarray  # (L, K, M, J) small-scale fading
+    channels: ChannelRealization  # (L, K, M, J) fading and (L, K) gains
     bits: np.ndarray | None  # (K, bits per user), BER trials only
     noise: np.ndarray | None  # (L, M, J) unit-variance noise, BER trials only
 
@@ -256,14 +260,14 @@ def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> Tri
         for k in range(cfg.K):
             h[l, k] = draw_small_scale(m, J, trial_rng(seed, trial, l, k, "channel"))
     if not ber:
-        return TrialDraws(profile.betas, h, None, None)
+        return TrialDraws(ChannelRealization(h, profile), None, None)
     bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
     for k in range(cfg.K):
         bits[k] = trial_rng(seed, trial, 0, k, "bits").integers(0, 2, size=bits.shape[1])
     noise = np.stack(
         [draw_noise(m, J, trial_rng(seed, trial, l, 0, "noise")) for l in range(cfg.L)]
     )
-    return TrialDraws(profile.betas, h, bits, noise)
+    return TrialDraws(ChannelRealization(h, profile), bits, noise)
 
 
 def _block(
@@ -289,9 +293,9 @@ def _block(
     betas, R, bits, HhW = [], [], [], []
     for t in trials:
         draws = draw_trial(cfg, m, t, ber)
-        H = draws.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, J*K)
+        H = draws.channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, J*K)
         Hh = H.conj().swapaxes(1, 2)
-        betas.append(draws.betas)
+        betas.append(draws.channels.profile.betas)
         R.append(Hh @ H)
         if ber:
             bits.append(draws.bits)

@@ -3,9 +3,7 @@
 import numpy as np
 
 from cfstbc import (
-    ChannelRealization,
     FlopCounter,
-    LargeScaleProfile,
     convergence_margin,
     cpu_combine,
     detect,
@@ -116,10 +114,6 @@ def random_hpd(n: int, seed: int, spread: float = 1.0) -> np.ndarray:
 # ``cfstbc.simulate`` replaced, one trial and one BS at a time. Same draws.
 
 
-def _channels(draws) -> ChannelRealization:
-    return ChannelRealization(h=draws.h, profile=LargeScaleProfile(draws.betas))
-
-
 def _build_decoder(cfg: ScenarioConfig, G, rho: float, counter: FlopCounter):
     if cfg.decoder == "zf":
         return zf_matrix(G, cfg.inversion, counter)
@@ -130,7 +124,7 @@ def oracle_dual_trial(cfg, rho, trial, counter, want_margin):
     """One Golden-code block through the stacked chain; (errors, bits, margins)."""
     const = cfg.constellation
     draws = draw_trial(cfg, cfg.M, trial)
-    channels = _channels(draws)
+    channels = draws.channels
     tx_bits = draws.bits
     x = np.stack([const.modulate(tx_bits[k]) for k in range(cfg.K)])
     codes = encode(x)
@@ -159,7 +153,7 @@ def oracle_single_trial(cfg, rho, trial, counter, want_margin):
     """One slot of the single-antenna chain; (errors, bits, margins)."""
     const = cfg.constellation
     draws = draw_trial(cfg, cfg.M, trial)
-    channels = _channels(draws)
+    channels = draws.channels
     tx_bits = draws.bits
     x = np.concatenate([const.modulate(tx_bits[k]) for k in range(cfg.K)])
     rho_eff = 2.0 * rho
@@ -187,7 +181,7 @@ def oracle_single_trial(cfg, rho, trial, counter, want_margin):
 def oracle_se_trial(cfg, m, trial, counter, want_margin):
     """Per-user SE summed over users for one realization; (se, margins)."""
     rho = cfg.rho_fixed
-    channels = _channels(draw_trial(cfg, m, trial, ber=False))
+    channels = draw_trial(cfg, m, trial, ber=False).channels
     a_mats, g_mats, margins = [], [], []
     dual = cfg.antennas_per_user == 2
     rho_machinery = rho if dual else 2.0 * rho

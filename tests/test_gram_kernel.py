@@ -190,11 +190,11 @@ def test_draw_trial_reads_the_keyed_streams(antennas):
     seed, t, J = cfg.master_seed, 5, antennas
     draws = draw_trial(cfg, cfg.M, t)
     betas = draw_large_scale(cfg.L, cfg.K, trial_rng(seed, t, 0, 0, "beta")).betas
-    np.testing.assert_array_equal(draws.betas, betas)
+    np.testing.assert_array_equal(draws.channels.profile.betas, betas)
     for l in range(cfg.L):
         for k in range(cfg.K):
             want = draw_small_scale(cfg.M, J, trial_rng(seed, t, l, k, "channel"))
-            np.testing.assert_array_equal(draws.h[l, k], want)
+            np.testing.assert_array_equal(draws.channels.h[l, k], want)
         want = draw_noise(cfg.M, J, trial_rng(seed, t, l, 0, "noise"))
         np.testing.assert_array_equal(draws.noise[l], want)
     per_user = cfg.bits_per_trial() // cfg.K
@@ -204,4 +204,4 @@ def test_draw_trial_reads_the_keyed_streams(antennas):
     assert draws.bits.dtype == np.uint8
     se_draws = draw_trial(cfg, cfg.M, t, ber=False)
     assert se_draws.bits is None and se_draws.noise is None
-    np.testing.assert_array_equal(se_draws.h, draws.h)
+    np.testing.assert_array_equal(se_draws.channels.h, draws.channels.h)
