@@ -56,8 +56,6 @@ from .metrics import (
     DegenerateSinrError,
     SinrReport,
     ber_accumulate,
-    interference_noise_variance,
-    sinr,
     sinr_from_products,
     sinr_profile,
     sinr_streams,

@@ -5,7 +5,9 @@ station so beta_l1 >= beta_l2 >= ... >= beta_lK. Small-scale fading and
 receiver noise are i.i.d. circularly symmetric complex Gaussian with unit
 variance per entry. All draws consume a caller-supplied
 ``numpy.random.Generator`` so realizations are reproducible and
-parallel-safe (see ``simulate.trial_rng`` for the stream-keying scheme).
+parallel-safe. ``simulate`` hands each draw numpy's SeedSequence->PCG64
+stream of its own key, with the states of a whole block of trials derived
+at once (see ``simulate.trial_rng`` and ``simulate.stream_states``).
 """
 
 from __future__ import annotations

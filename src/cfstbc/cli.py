@@ -181,25 +181,18 @@ def _read_config_file(path: str, problems: list[str]) -> dict[str, str]:
     return values
 
 
-_FILE_KEYS = {
-    "L": int,
-    "M": int,
-    "K": int,
-    "user_antennas": int,
-    "modulation": str,
-    "decoder": str,
-    "inversion": str,
-    "snr_db": str,
-    "rho": float,
-    "m_grid": str,
-    "trials": int,
-    "seed": int,
-    "noise_scale": float,
-    "margin_trials": int,
-    "noise_term": str,
-    "out": str,
-    "workers": str,
-}
+def _file_keys(parser: argparse.ArgumentParser) -> dict:
+    """Each ``ber``/``se`` flag's dest and value type, bar config, quiet and help."""
+    sweeps = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest: action.type or str
+        for command in ("ber", "se")
+        for action in sweeps.choices[command]._actions
+        if action.dest not in ("config", "quiet", "help")
+    }
+
+
+_FILE_KEYS = _file_keys(build_parser())
 
 
 def _merge_settings(args: argparse.Namespace, problems: list[str]) -> dict:

@@ -71,57 +71,6 @@ def ber_accumulate(tx_bits: np.ndarray, rx_bits: np.ndarray) -> BerEstimate:
     return BerEstimate.from_counts(int(np.count_nonzero(tx != rx)), tx.size)
 
 
-def _check_index(a_mats: Sequence[np.ndarray], index: int) -> None:
-    n = a_mats[0].shape[0]
-    if not 0 <= index < n:
-        raise IndexError(f"stream index {index} out of range for {n} streams")
-
-
-def interference_noise_variance(
-    a_mats: Sequence[np.ndarray],
-    g_mats: Sequence[np.ndarray],
-    rho: float,
-    index: int,
-    noise_term: str = NOISE_SNR_SCALED,
-) -> float:
-    """Interference-plus-noise power of stream ``index`` summed over BSs.
-
-    Per BS: sum_{t != index} |(A G)_{index,t}|^2 for interference plus the
-    squared norm of row ``index`` of A for noise, combined under the chosen
-    noise-scaling convention.
-    """
-    if noise_term not in _NOISE_TERMS:
-        raise ValueError(f"noise_term must be one of {_NOISE_TERMS}")
-    _check_index(a_mats, index)
-    interference = 0.0
-    noise = 0.0
-    for A, G in zip(a_mats, g_mats):
-        row = A[index] @ G
-        interference += np.sum(np.abs(row) ** 2) - np.abs(row[index]) ** 2
-        noise += np.sum(np.abs(A[index]) ** 2)
-    if noise_term == NOISE_SNR_SCALED:
-        return float(rho / 2.0 * (interference + noise))
-    return float(rho / 2.0 * interference + noise)
-
-
-def sinr(
-    a_mats: Sequence[np.ndarray],
-    g_mats: Sequence[np.ndarray],
-    rho: float,
-    index: int,
-    noise_term: str = NOISE_SNR_SCALED,
-) -> float:
-    """SINR of stream ``index``: desired power over interference-plus-noise."""
-    _check_index(a_mats, index)
-    desired = 0.0
-    for A, G in zip(a_mats, g_mats):
-        desired += np.abs(A[index] @ G[:, index]) ** 2
-    denom = interference_noise_variance(a_mats, g_mats, rho, index, noise_term)
-    if denom == 0.0:
-        raise DegenerateSinrError(f"zero interference-plus-noise for stream {index}")
-    return float(rho / 2.0 * desired / denom)
-
-
 def spectral_efficiency(sinrs: Sequence[float]) -> float | np.ndarray:
     """Per-user SE lower bound, (1/2) sum_i log2(1 + SINR_i) over 4 streams.
 
@@ -177,10 +126,7 @@ def sinr_streams(
     rho: float,
     noise_term: str = NOISE_SNR_SCALED,
 ) -> np.ndarray:
-    """SINR of every stream at once, vectorized over the full A @ G products.
-
-    Agrees with the per-index :func:`sinr` entry point.
-    """
+    """SINR of every stream at once, vectorized over the full A @ G products."""
     return sinr_from_products(
         [A @ G for A, G in zip(a_mats, g_mats)],
         [np.sum(np.abs(A) ** 2, axis=1) for A in a_mats],

@@ -6,6 +6,13 @@ results do not depend on execution order. Sweeps aggregate per-trial
 outputs in fixed chunk order, which makes serial and parallel runs of the
 same configuration bit-identical.
 
+Each substream is numpy's ``PCG64(SeedSequence(key))`` stream of its key.
+Building ~25 such generators a trial cost more than decoding it, so
+``stream_states`` runs numpy's published SeedSequence hash and PCG64
+seeding for every stream of a block of trials at once, and the block's
+draws take turns on one generator set to each derived state. The streams
+are exactly numpy's; only their set-up is batched.
+
 One kernel serves both scenario families and both sweep kinds. Each BS
 decodes in the Gram domain: the decoder's Gram matrix and matched filter
 follow from the small fading products H^H H and H^H Y through the code's
@@ -27,7 +34,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,20 +78,145 @@ class ConfigError(ValueError):
         return type(self), (self.problems,)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG (pcg64.h).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence splits an int into."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _padded(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of words, zero-padded to one width, and each row's length."""
+    lengths = np.array([len(row) for row in rows])
+    width = int(lengths.max())
+    padded = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32)
+    return padded, lengths
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hash step over uint32 arrays, with its running constant."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return step
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seedsequence_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row.
+
+    ``entropy`` is (N, W >= 4) uint32, each row zero-padded past its
+    length. This is numpy's ``mix_entropy`` into a 4-word pool, then
+    ``generate_state``, in uint32 array arithmetic, which wraps as the C
+    original does; a row stops mixing in words at its own length.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        live = lengths > src
+        for dst in range(_POOL_SIZE):
+            mixed = _mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = np.where(live, mixed, pool[dst])
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((len(entropy), 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        state[:, i] = out_hash(pool[i % _POOL_SIZE])
+    return state.view("<u8")
+
+
+def stream_states(
+    master_seed: int, trials: Sequence[int], fields: Sequence[tuple[int, ...]]
+) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of the stream keyed (master_seed, trial, *field).
+
+    One pair per trial and field, trial-major: each is the state
+    ``np.random.PCG64(np.random.SeedSequence(key))`` starts from, derived
+    for all keys in one vectorized pass. The entropy words are the ones
+    SeedSequence builds from the key tuple: each int's little-endian
+    uint32 words, in field order.
+    """
+    head = _words(master_seed)
+    trial_words, trial_len = _padded([_words(t) for t in trials])
+    field_words, field_len = _padded([[w for v in f for w in _words(v)] for f in fields])
+    T, S = len(trial_words), len(field_words)
+    h, wt, wf = len(head), trial_words.shape[1], field_words.shape[1]
+    entropy = np.zeros((T, S, max(_POOL_SIZE, h + wt + wf)), dtype=np.uint32)
+    entropy[..., :h] = head
+    entropy[..., h : h + wt] = trial_words[:, None]
+    # a trial's field words start right after its own words
+    at = h + trial_len[:, None, None] + np.arange(wf)
+    np.put_along_axis(entropy, np.broadcast_to(at, (T, S, wf)), field_words[None], axis=2)
+    lengths = h + trial_len[:, None] + field_len[None, :]
+    words = _seedsequence_words(entropy.reshape(T * S, -1), lengths.reshape(-1))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        # pcg64_set_seed: state = 0, inc = 2 seq + 1, step, add the seed, step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _streams(
+    master_seed: int, trials: Sequence[int], fields: Sequence[tuple[int, ...]]
+) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to each stream of ``stream_states``.
+
+    It is the same object each time: take a stream's draws before asking
+    for the next stream.
+    """
+    bitgen = np.random.PCG64(0)  # every state it draws from is set below
+    gen = np.random.Generator(bitgen)
+    for state, inc in stream_states(master_seed, trials, fields):
+        # as a fresh PCG64 would be: no half-word left over from the last
+        # stream's 32-bit draws
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
+
+
 def trial_rng(
     master_seed: int, trial: int, l: int, k: int, purpose: str
 ) -> np.random.Generator:
     """Independent substream for one (trial, BS, user, purpose) key.
 
-    Streams are derived through ``numpy.random.SeedSequence``, which is
-    collision-resistant and platform-stable.
+    The stream is numpy's ``default_rng(SeedSequence(key))`` of
+    key = (master_seed, trial, l, k, PURPOSES[purpose]), which is
+    collision-resistant and platform-stable; its state comes from
+    ``stream_states``, the path every trial's draws take.
     """
-    key = (master_seed, trial, l, k, PURPOSES[purpose])
-    if 0 <= min(key) and max(key) <= 0xFFFFFFFF:
-        # SeedSequence turns each such int into one uint32 word; handing it
-        # the words directly gives the same stream at a third of the cost.
-        key = np.array(key, dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(key))
+    return next(_streams(master_seed, [trial], [(l, k, PURPOSES[purpose])]))
 
 
 @dataclass(frozen=True)
@@ -246,28 +378,47 @@ class TrialDraws(NamedTuple):
     noise: np.ndarray | None  # (L, M, J) unit-variance noise, BER trials only
 
 
+def _stream_fields(cfg: ScenarioConfig, ber: bool) -> list[tuple[int, int, int]]:
+    """(BS, user, purpose) of every stream a trial draws, in draw order."""
+    fields = [(0, 0, PURPOSES["beta"])]
+    fields += [(l, k, PURPOSES["channel"]) for l in range(cfg.L) for k in range(cfg.K)]
+    if ber:
+        fields += [(0, k, PURPOSES["bits"]) for k in range(cfg.K)]
+        fields += [(l, 0, PURPOSES["noise"]) for l in range(cfg.L)]
+    return fields
+
+
+def _draw(
+    cfg: ScenarioConfig, m: int, ber: bool, streams: Iterator[np.random.Generator]
+) -> TrialDraws:
+    """One trial's draws, each from the next of its ``_stream_fields`` streams."""
+    J = cfg.antennas_per_user
+    profile = draw_large_scale(cfg.L, cfg.K, next(streams))
+    # filled as (L, M, K, J), the kernel's (L, M, K*J) layout; h is its view
+    fading = np.empty((cfg.L, m, cfg.K, J), dtype=complex)
+    for l in range(cfg.L):
+        for k in range(cfg.K):
+            fading[l, :, k] = draw_small_scale(m, J, next(streams))
+    channels = ChannelRealization(fading.transpose(0, 2, 1, 3), profile)
+    if not ber:
+        return TrialDraws(channels, None, None)
+    bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
+    for k in range(cfg.K):
+        bits[k] = next(streams).integers(0, 2, size=bits.shape[1])
+    noise = np.empty((cfg.L, m, J), dtype=complex)
+    for l in range(cfg.L):
+        noise[l] = draw_noise(m, J, next(streams))
+    return TrialDraws(channels, bits, noise)
+
+
 def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> TrialDraws:
     """Draw one trial: the beta stream, then one channel stream per (BS, user).
 
     BER trials add one bits stream per user and one noise stream per BS;
     noise has one slot per user antenna (the Golden code's two slots, or
-    the single-antenna model's one).
+    the single-antenna model's one). Each stream is ``trial_rng`` of its key.
     """
-    seed, J = cfg.master_seed, cfg.antennas_per_user
-    profile = draw_large_scale(cfg.L, cfg.K, trial_rng(seed, trial, 0, 0, "beta"))
-    h = np.empty((cfg.L, cfg.K, m, J), dtype=complex)
-    for l in range(cfg.L):
-        for k in range(cfg.K):
-            h[l, k] = draw_small_scale(m, J, trial_rng(seed, trial, l, k, "channel"))
-    if not ber:
-        return TrialDraws(ChannelRealization(h, profile), None, None)
-    bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
-    for k in range(cfg.K):
-        bits[k] = trial_rng(seed, trial, 0, k, "bits").integers(0, 2, size=bits.shape[1])
-    noise = np.stack(
-        [draw_noise(m, J, trial_rng(seed, trial, l, 0, "noise")) for l in range(cfg.L)]
-    )
-    return TrialDraws(ChannelRealization(h, profile), bits, noise)
+    return _draw(cfg, m, ber, _streams(cfg.master_seed, [trial], _stream_fields(cfg, ber)))
 
 
 def _block(
@@ -291,9 +442,10 @@ def _block(
     dual = cfg.antennas_per_user == 2
     rho_eff = rho if dual else 2.0 * rho
     betas, R, bits, HhW = [], [], [], []
+    streams = _streams(cfg.master_seed, trials, _stream_fields(cfg, ber))
     for t in trials:
-        draws = draw_trial(cfg, m, t, ber)
-        H = draws.channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, J*K)
+        draws = _draw(cfg, m, ber, streams)
+        H = draws.channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, K*J), a view
         Hh = H.conj().swapaxes(1, 2)
         betas.append(draws.channels.profile.betas)
         R.append(Hh @ H)
@@ -476,7 +628,7 @@ def desk_ber_config(**overrides) -> ScenarioConfig:
 def full_ber_config(**overrides) -> ScenarioConfig:
     """Large BER scenario (M=256, K=10), not run in CI.
 
-    One curve is 27,500 trials: about 2.3 minutes serial and 1.1 minutes
+    One curve is 27,500 trials: about 1.8 minutes serial and 0.9 minutes
     with two workers on a 2-core Xeon VM.
     """
     base = ScenarioConfig(

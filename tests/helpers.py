@@ -3,6 +3,9 @@
 import numpy as np
 
 from cfstbc import (
+    NOISE_SNR_SCALED,
+    NOISE_UNIT,
+    DegenerateSinrError,
     FlopCounter,
     convergence_margin,
     cpu_combine,
@@ -25,6 +28,11 @@ from cfstbc.simulate import ScenarioConfig, draw_trial
 
 def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def seedsequence_rng(key) -> np.random.Generator:
+    """numpy's own stream of a key tuple: the oracle for the batched states."""
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -205,3 +213,48 @@ def oracle_se_trial(cfg, m, trial, counter, want_margin):
     else:
         se_total = float(np.sum(np.log2(1.0 + streams)))
     return se_total, margins
+
+
+# Per-index SINR, one stream and one BS at a time: the oracle for the
+# vectorized ``cfstbc.metrics.sinr_streams``.
+
+NOISE_TERMS = (NOISE_SNR_SCALED, NOISE_UNIT)
+
+
+def _check_index(a_mats, index):
+    n = a_mats[0].shape[0]
+    if not 0 <= index < n:
+        raise IndexError(f"stream index {index} out of range for {n} streams")
+
+
+def interference_noise_variance(a_mats, g_mats, rho, index, noise_term=NOISE_SNR_SCALED):
+    """Interference-plus-noise power of stream ``index`` summed over BSs.
+
+    Per BS: sum_{t != index} |(A G)_{index,t}|^2 for interference plus the
+    squared norm of row ``index`` of A for noise, combined under the chosen
+    noise-scaling convention.
+    """
+    if noise_term not in NOISE_TERMS:
+        raise ValueError(f"noise_term must be one of {NOISE_TERMS}")
+    _check_index(a_mats, index)
+    interference = 0.0
+    noise = 0.0
+    for A, G in zip(a_mats, g_mats):
+        row = A[index] @ G
+        interference += np.sum(np.abs(row) ** 2) - np.abs(row[index]) ** 2
+        noise += np.sum(np.abs(A[index]) ** 2)
+    if noise_term == NOISE_SNR_SCALED:
+        return float(rho / 2.0 * (interference + noise))
+    return float(rho / 2.0 * interference + noise)
+
+
+def sinr(a_mats, g_mats, rho, index, noise_term=NOISE_SNR_SCALED):
+    """SINR of stream ``index``: desired power over interference-plus-noise."""
+    _check_index(a_mats, index)
+    desired = 0.0
+    for A, G in zip(a_mats, g_mats):
+        desired += np.abs(A[index] @ G[:, index]) ** 2
+    denom = interference_noise_variance(a_mats, g_mats, rho, index, noise_term)
+    if denom == 0.0:
+        raise DegenerateSinrError(f"zero interference-plus-noise for stream {index}")
+    return float(rho / 2.0 * desired / denom)

@@ -22,7 +22,6 @@ from cfstbc import (
     exact_inverse,
     golden_params,
     gram,
-    interference_noise_variance,
     neumann_inverse,
     neumann_r2,
     run_ber_sweep,
@@ -32,7 +31,7 @@ from cfstbc import (
     zf_matrix,
 )
 from cfstbc.cli import main as cli_main
-from helpers import draw_system, random_complex, seeded_rng
+from helpers import draw_system, interference_noise_variance, random_complex, seeded_rng
 
 WORKERS = 2
 

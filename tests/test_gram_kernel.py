@@ -17,17 +17,17 @@ from cfstbc import (
     stack_system,
     system_gram,
     system_matched,
-    trial_rng,
     vec,
 )
 from cfstbc import simulate
-from cfstbc.simulate import _chunk, draw_trial
+from cfstbc.simulate import PURPOSES, _chunk, draw_trial
 from helpers import (
     oracle_dual_trial,
     oracle_se_trial,
     oracle_single_trial,
     random_complex,
     seeded_rng,
+    seedsequence_rng,
 )
 
 
@@ -182,24 +182,28 @@ def test_blocks_do_not_change_a_chunk(monkeypatch, decoder, inversion, antennas,
 
 @pytest.mark.parametrize("antennas", [1, 2])
 def test_draw_trial_reads_the_keyed_streams(antennas):
-    """Every draw is pinned to its own (seed, trial, BS, user, purpose) stream."""
+    """Every draw is numpy's own stream of its (seed, trial, BS, user, purpose) key."""
     cfg = ScenarioConfig(
         L=3, M=12, K=2, antennas_per_user=antennas, master_seed=99,
         modulation="4qam",
     )
     seed, t, J = cfg.master_seed, 5, antennas
+
+    def rng(l, k, purpose):
+        return seedsequence_rng((seed, t, l, k, PURPOSES[purpose]))
+
     draws = draw_trial(cfg, cfg.M, t)
-    betas = draw_large_scale(cfg.L, cfg.K, trial_rng(seed, t, 0, 0, "beta")).betas
+    betas = draw_large_scale(cfg.L, cfg.K, rng(0, 0, "beta")).betas
     np.testing.assert_array_equal(draws.channels.profile.betas, betas)
     for l in range(cfg.L):
         for k in range(cfg.K):
-            want = draw_small_scale(cfg.M, J, trial_rng(seed, t, l, k, "channel"))
+            want = draw_small_scale(cfg.M, J, rng(l, k, "channel"))
             np.testing.assert_array_equal(draws.channels.h[l, k], want)
-        want = draw_noise(cfg.M, J, trial_rng(seed, t, l, 0, "noise"))
+        want = draw_noise(cfg.M, J, rng(l, 0, "noise"))
         np.testing.assert_array_equal(draws.noise[l], want)
     per_user = cfg.bits_per_trial() // cfg.K
     for k in range(cfg.K):
-        want = trial_rng(seed, t, 0, k, "bits").integers(0, 2, size=per_user)
+        want = rng(0, k, "bits").integers(0, 2, size=per_user)
         np.testing.assert_array_equal(draws.bits[k], want)
     assert draws.bits.dtype == np.uint8
     se_draws = draw_trial(cfg, cfg.M, t, ber=False)

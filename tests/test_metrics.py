@@ -10,14 +10,18 @@ from cfstbc import (
     Inversion,
     ber_accumulate,
     detect,
-    interference_noise_variance,
-    sinr,
     sinr_profile,
     sinr_streams,
     spectral_efficiency,
     zf_matrix,
 )
-from helpers import draw_system, random_complex, seeded_rng
+from helpers import (
+    draw_system,
+    interference_noise_variance,
+    random_complex,
+    seeded_rng,
+    sinr,
+)
 
 
 def build_bss(M, K, L, base_seed, inversion=None):

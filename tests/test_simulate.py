@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfstbc import (
     ConfigError,
@@ -19,7 +21,15 @@ from cfstbc import (
     trial_rng,
     trials_for_bits,
 )
-from cfstbc.simulate import PURPOSES, desk_ber_config, full_ber_config, se_sweep_config
+from cfstbc.simulate import (
+    PURPOSES,
+    _streams,
+    desk_ber_config,
+    full_ber_config,
+    se_sweep_config,
+    stream_states,
+)
+from helpers import seedsequence_rng
 
 
 class TestTrialRng:
@@ -57,6 +67,43 @@ class TestTrialRng:
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 assert np.any(draws[a] != draws[b])
+
+
+class TestStreamStates:
+    """The batched states are the ones numpy's own construction starts from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0xFFFFFFFF, 2**32])),
+        trials=st.lists(
+            st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0xFFFFFFFF, 2**32])),
+            min_size=1,
+            max_size=4,
+        ),
+        fields=st.lists(
+            st.tuples(
+                st.integers(0, 63), st.integers(0, 63), st.sampled_from(sorted(PURPOSES.values()))
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_states_are_pcg64_of_the_seedsequence(self, seed, trials, fields):
+        want = []
+        for t in trials:
+            for f in fields:
+                state = np.random.PCG64(np.random.SeedSequence((seed, t, *f))).state["state"]
+                want.append((state["state"], state["inc"]))
+        assert stream_states(seed, trials, fields) == want
+
+    def test_integers_after_a_stream_left_half_a_word(self):
+        streams = _streams(77, [3], [(0, 1, PURPOSES["bits"]), (0, 2, PURPOSES["bits"])])
+        first = next(streams)
+        first.integers(0, 2, size=3)  # three 32-bit draws from two 64-bit outputs
+        assert first.bit_generator.state["has_uint32"] == 1
+        got = next(streams).integers(0, 2, size=5)
+        want = seedsequence_rng((77, 3, 0, 2, PURPOSES["bits"])).integers(0, 2, size=5)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestConfigValidation:
