@@ -21,6 +21,13 @@ are reduced to those products at once; a chunk is then decoded in blocks of
 trials as stacked (trials, L, n, n) arrays, so the per-call overhead is
 paid once per block rather than once per trial.
 
+No stream key holds the SNR, so a BER chunk is drawn once and decoded at
+every SNR point of its group (common random numbers): the draws, the
+fading products, the Gram matrices and, under ZF, the inverses and margins
+are shared, and only the received products, the MMSE loading and the
+detection are per point. Each point's partials are those a one-point
+chunk would give, so sharing changes no output bit.
+
 * Dual-antenna users send 4 symbols per two-slot block through the Golden
   code.
 * Single-antenna users follow the plain one-slot model
@@ -425,22 +432,24 @@ def _block(
     cfg: ScenarioConfig,
     maps: np.ndarray,
     m: int,
-    rho: float,
+    rhos: tuple[float, ...],
     trials: range,
-    counter: FlopCounter,
+    counters: Sequence[FlopCounter],
     ber: bool,
-) -> tuple[list, list[float]]:
-    """Decode a block of trials as stacked (trials, L, ...) Gram-domain arrays.
+) -> list[tuple[list, list[float]]]:
+    """Decode a block of trials at every rho as stacked Gram-domain arrays.
 
     A BS decoder needs only Z = G^H G (plus the MMSE loading) and G^H y;
     both follow from the fading products R = H^H H and H^H Y through the
     code's slot ``maps``, so neither the stacked G nor the filter
-    A = Z^-1 G^H is formed. Returns the per-trial values to add up (one
-    bit-error count for the whole block, or each trial's SE summed over
-    users) and each margin-sampled trial's margin sum over the BSs.
+    A = Z^-1 G^H is formed. The draws, R, H^H W and Z are formed once and
+    serve every rho; so do the ZF inverse and margins, whose operation
+    counts go to each rho's counter. For each rho, returns the per-trial
+    values to add up (one bit-error count for the whole block, or each
+    trial's SE summed over users) and each margin-sampled trial's margin
+    sum over the BSs.
     """
     dual = cfg.antennas_per_user == 2
-    rho_eff = rho if dual else 2.0 * rho
     betas, R, bits, HhW = [], [], [], []
     streams = _streams(cfg.master_seed, trials, _stream_fields(cfg, ber))
     for t in trials:
@@ -454,74 +463,86 @@ def _block(
             HhW.append(Hh @ (cfg.noise_scale * draws.noise))
     betas, R = np.stack(betas), np.stack(R)
     z_raw = system_gram(R, betas, maps)  # (trials, L, n, n)
-    Z = z_raw
-    if cfg.decoder == "mmse":
-        Z = z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1])
-    zinv = cfg.inversion.invert(Z, counter)
-    margins = [
-        sum(convergence_margin(z) for z in Z[i])
-        for i, t in enumerate(trials)
-        if t < cfg.margin_trials
-    ]
+    sampled = [i for i, t in enumerate(trials) if t < cfg.margin_trials]
 
-    if not ber:
-        ag = zinv @ z_raw  # A G per BS
-        # diag(A A^H). np.multiply, not `*`: on a large block the operator
-        # reuses the conj temporary in place and rounds differently.
-        noise = np.sum(np.multiply(ag, zinv.conj()), axis=-1).real
-        streams = sinr_from_products(ag, noise, rho_eff, cfg.noise_term)
-        if dual:
-            # a running sum adds the users in order; np.sum would pair them
-            per_user = spectral_efficiency(streams.reshape(len(trials), cfg.K, 4))
-            return np.cumsum(per_user, axis=-1)[:, -1].tolist(), margins
-        return np.sum(np.log2(1.0 + streams), axis=-1).tolist(), margins
+    def inverse(Z: np.ndarray, counter: FlopCounter) -> tuple[np.ndarray, list[float]]:
+        margins = [sum(convergence_margin(z) for z in Z[i]) for i in sampled]
+        return cfg.inversion.invert(Z, counter), margins
 
-    const = cfg.constellation
-    tx_bits = np.stack(bits)
-    x = const.modulate(tx_bits.reshape(-1)).reshape(len(trials), cfg.K, -1)
-    codes = encode(x) if dual else x[..., None]  # (trials, K, J, T)
-    slots = codes.shape[-1]
-    sent = (betas[..., None, None] * codes[:, None]).reshape(*R.shape[:2], -1, slots)
-    HhY = np.sqrt(rho_eff / 2.0) * (R @ sent) + np.stack(HhW)
-    soft = np.einsum("tlij,tlj->ti", zinv, system_matched(HhY, betas, maps))
-    gains = np.einsum("tlij,tlji->ti", zinv, z_raw)  # sum over l of diag(A_l G_l)
-    rx_bits = const.demodulate(detect(soft, gains, rho_eff, const))
-    return [int(np.count_nonzero(rx_bits != tx_bits.reshape(-1)))], margins
+    if cfg.decoder == "zf":
+        shared = FlopCounter()
+        zf = inverse(z_raw, shared)
+        for counter in counters:
+            counter.merge(shared)
+    if ber:
+        const = cfg.constellation
+        tx_bits = np.stack(bits)
+        x = const.modulate(tx_bits.reshape(-1)).reshape(len(trials), cfg.K, -1)
+        codes = encode(x) if dual else x[..., None]  # (trials, K, J, T)
+        slots = codes.shape[-1]
+        sent = (betas[..., None, None] * codes[:, None]).reshape(*R.shape[:2], -1, slots)
+        R_sent, HhW = R @ sent, np.stack(HhW)
+
+    out = []
+    for rho, counter in zip(rhos, counters):
+        rho_eff = rho if dual else 2.0 * rho
+        if cfg.decoder == "zf":
+            zinv, margins = zf
+        else:
+            zinv, margins = inverse(z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1]), counter)
+        if not ber:
+            ag = zinv @ z_raw  # A G per BS
+            # diag(A A^H). np.multiply, not `*`: on a large block the operator
+            # reuses the conj temporary in place and rounds differently.
+            noise = np.sum(np.multiply(ag, zinv.conj()), axis=-1).real
+            streams = sinr_from_products(ag, noise, rho_eff, cfg.noise_term)
+            if dual:
+                # a running sum adds the users in order; np.sum would pair them
+                per_user = spectral_efficiency(streams.reshape(len(trials), cfg.K, 4))
+                values = np.cumsum(per_user, axis=-1)[:, -1].tolist()
+            else:
+                values = np.sum(np.log2(1.0 + streams), axis=-1).tolist()
+        else:
+            HhY = np.sqrt(rho_eff / 2.0) * R_sent + HhW
+            soft = np.einsum("tlij,tlj->ti", zinv, system_matched(HhY, betas, maps))
+            gains = np.einsum("tlij,tlji->ti", zinv, z_raw)  # sum over l of diag(A_l G_l)
+            rx_bits = const.demodulate(detect(soft, gains, rho_eff, const))
+            values = [int(np.count_nonzero(rx_bits != tx_bits.reshape(-1)))]
+        out.append((values, margins))
+    return out
 
 
-def _chunk(cfg: ScenarioConfig, m: int, rho: float, lo: int, hi: int, ber: bool):
-    """Trials lo..hi-1, decoded in blocks and summed in trial order."""
+def _chunk(
+    cfg: ScenarioConfig, m: int, rhos: tuple[float, ...], lo: int, hi: int, ber: bool
+) -> list[dict]:
+    """Trials lo..hi-1 at each rho, decoded in blocks and summed in trial order."""
     maps = slot_maps(cfg.K, cfg.antennas_per_user)
     n = maps.shape[-1]
     block = max(1, BLOCK_ELEMENTS // (cfg.L * n * n))
-    counter = FlopCounter()
-    total = 0
-    margin_sum = 0.0
-    margin_count = 0
+    counters = [FlopCounter() for _ in rhos]
+    parts = [{"total": 0, "margin_sum": 0.0, "margin_count": 0} for _ in rhos]
     for start in range(lo, hi, block):
         trials = range(start, min(start + block, hi))
-        values, margins = _block(cfg, maps, m, rho, trials, counter, ber)
-        for value in values:
-            total += value
-        for margin in margins:
-            margin_sum += margin
-        margin_count += cfg.L * len(margins)
-    return {
-        "total": total,
-        "margin_sum": margin_sum,
-        "margin_count": margin_count,
-        "mults": counter.complex_mults,
-        "divs": counter.complex_divs,
-        "adds": counter.complex_adds,
-    }
+        per_rho = _block(cfg, maps, m, rhos, trials, counters, ber)
+        for part, (values, margins) in zip(parts, per_rho):
+            for value in values:
+                part["total"] += value
+            for margin in margins:
+                part["margin_sum"] += margin
+            part["margin_count"] += cfg.L * len(margins)
+    for part, counter in zip(parts, counters):
+        part.update(
+            mults=counter.complex_mults, divs=counter.complex_divs, adds=counter.complex_adds
+        )
+    return parts
 
 
-def _ber_chunk(cfg: ScenarioConfig, snr_db: float, lo: int, hi: int) -> dict:
-    return _chunk(cfg, cfg.M, 10.0 ** (snr_db / 10.0), lo, hi, ber=True)
+def _ber_chunk(cfg: ScenarioConfig, snrs_db: tuple[float, ...], lo: int, hi: int) -> list[dict]:
+    return _chunk(cfg, cfg.M, tuple(10.0 ** (v / 10.0) for v in snrs_db), lo, hi, ber=True)
 
 
-def _se_chunk(cfg: ScenarioConfig, m: int, lo: int, hi: int) -> dict:
-    return _chunk(cfg, m, cfg.rho_fixed, lo, hi, ber=False)
+def _se_chunk(cfg: ScenarioConfig, ms: tuple[int, ...], lo: int, hi: int) -> list[dict]:
+    return [_chunk(cfg, m, (cfg.rho_fixed,), lo, hi, ber=False)[0] for m in ms]
 
 
 def _point_stats(partials: list[dict]) -> dict:
@@ -558,19 +579,26 @@ def _sweep(
     workers: int,
     progress: Callable | None,
 ) -> RunResult:
-    """Run every (grid point, chunk) pair and reduce each point in chunk order.
+    """Run every (group of grid points, chunk) job; reduce each point in chunk order.
 
-    A pool gets the whole grid at once, so no worker idles while a point
-    with fewer chunks than workers finishes; results come back in
-    submission order, so points and progress calls stay in grid order and
-    parallel output is bit-identical to serial.
+    A BER job decodes its chunk's draws, which hold no SNR, at every point
+    of its group: the whole grid, or contiguous groups of it when the sweep
+    has fewer chunks than workers, so no worker idles. An SE point's M
+    changes the draws, so each SE group is one point. A pool gets every job
+    at once; results come back in submission order, so points and progress
+    calls stay in grid order and parallel output is bit-identical to
+    serial. A point's progress call comes when its group's last chunk is
+    done.
     """
     problems = cfg.validate(kind)
     if problems:
         raise ConfigError(problems)
     start = time.perf_counter()
     ranges = range(0, cfg.trials, TRIAL_CHUNK)
-    jobs = [(v, lo, min(lo + TRIAL_CHUNK, cfg.trials)) for v in grid for lo in ranges]
+    n = len(grid)
+    groups = min(n, -(-workers // len(ranges))) if kind == "ber" else n
+    grouped = [tuple(grid[i * n // groups : (i + 1) * n // groups]) for i in range(groups)]
+    jobs = [(g, lo, min(lo + TRIAL_CHUNK, cfg.trials)) for g in grouped for lo in ranges]
     points = []
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -578,11 +606,13 @@ def _sweep(
             partials = (run_chunk(cfg, *job) for job in jobs)
         else:
             partials = executor.map(run_chunk, [cfg] * len(jobs), *zip(*jobs))
-        for value in grid:
-            point = make_point(cfg, value, [next(partials) for _ in ranges])
-            points.append(point)
-            if progress is not None:
-                progress(point)
+        for group in grouped:
+            chunks = [next(partials) for _ in ranges]
+            for i, value in enumerate(group):
+                point = make_point(cfg, value, [chunk[i] for chunk in chunks])
+                points.append(point)
+                if progress is not None:
+                    progress(point)
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
@@ -596,8 +626,10 @@ def run_ber_sweep(
 ) -> RunResult:
     """Monte Carlo BER over the configured SNR grid.
 
-    ``workers > 1`` spreads trial chunks over a process pool; results are
-    identical to the serial run because partials are reduced in chunk order.
+    A trial's draws do not depend on the SNR, so each chunk is drawn once
+    and decoded at every SNR point of its group. ``workers > 1`` spreads
+    (group, chunk) jobs over a process pool; results are identical to the
+    serial run because each point's partials are reduced in chunk order.
     """
     grid = [float(v) for v in cfg.snr_grid_db]
     return _sweep("ber", cfg, grid, _ber_chunk, _ber_point, workers, progress)
@@ -608,7 +640,10 @@ def run_se_sweep(
     workers: int = 1,
     progress: Callable[[SePoint], None] | None = None,
 ) -> RunResult:
-    """Mean spectral efficiency over the configured BS-antenna grid."""
+    """Mean spectral efficiency over the configured BS-antenna grid.
+
+    Each M draws its own fading, so every job is one (M, chunk) pair.
+    """
     grid = [int(m) for m in cfg.m_grid]
     return _sweep("se", cfg, grid, _se_chunk, _se_point, workers, progress)
 
@@ -628,8 +663,8 @@ def desk_ber_config(**overrides) -> ScenarioConfig:
 def full_ber_config(**overrides) -> ScenarioConfig:
     """Large BER scenario (M=256, K=10), not run in CI.
 
-    One curve is 27,500 trials: about 1.8 minutes serial and 0.9 minutes
-    with two workers on a 2-core Xeon VM.
+    One curve is 2,500 trials at each of 11 SNRs: about 12 s serial and
+    5 s with two workers on a 2-vCPU VM.
     """
     base = ScenarioConfig(
         L=4,

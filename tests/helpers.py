@@ -17,13 +17,18 @@ from cfstbc import (
     mmse_matrix,
     per_bs_soft,
     received_block,
+    sinr_from_products,
     sinr_streams,
+    slot_maps,
     spectral_efficiency,
     stack_system,
+    system_gram,
+    system_matched,
     vec,
     zf_matrix,
 )
-from cfstbc.simulate import ScenarioConfig, draw_trial
+from cfstbc import simulate
+from cfstbc.simulate import ScenarioConfig, _draw, _stream_fields, _streams, draw_trial
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -258,3 +263,103 @@ def sinr(a_mats, g_mats, rho, index, noise_term=NOISE_SNR_SCALED):
     if denom == 0.0:
         raise DegenerateSinrError(f"zero interference-plus-noise for stream {index}")
     return float(rho / 2.0 * desired / denom)
+
+
+# The one-rho chunk kernel as it stood before a chunk's draws were shared
+# across the SNR grid: every call redraws its trials and re-forms R, H^H W
+# and Z. The oracle for ``cfstbc.simulate._chunk``, point by point.
+
+
+def _oracle_block(
+    cfg: ScenarioConfig,
+    maps: np.ndarray,
+    m: int,
+    rho: float,
+    trials: range,
+    counter: FlopCounter,
+    ber: bool,
+) -> tuple[list, list[float]]:
+    """Decode a block of trials as stacked (trials, L, ...) Gram-domain arrays.
+
+    A BS decoder needs only Z = G^H G (plus the MMSE loading) and G^H y;
+    both follow from the fading products R = H^H H and H^H Y through the
+    code's slot ``maps``, so neither the stacked G nor the filter
+    A = Z^-1 G^H is formed. Returns the per-trial values to add up (one
+    bit-error count for the whole block, or each trial's SE summed over
+    users) and each margin-sampled trial's margin sum over the BSs.
+    """
+    dual = cfg.antennas_per_user == 2
+    rho_eff = rho if dual else 2.0 * rho
+    betas, R, bits, HhW = [], [], [], []
+    streams = _streams(cfg.master_seed, trials, _stream_fields(cfg, ber))
+    for t in trials:
+        draws = _draw(cfg, m, ber, streams)
+        H = draws.channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, K*J), a view
+        Hh = H.conj().swapaxes(1, 2)
+        betas.append(draws.channels.profile.betas)
+        R.append(Hh @ H)
+        if ber:
+            bits.append(draws.bits)
+            HhW.append(Hh @ (cfg.noise_scale * draws.noise))
+    betas, R = np.stack(betas), np.stack(R)
+    z_raw = system_gram(R, betas, maps)  # (trials, L, n, n)
+    Z = z_raw
+    if cfg.decoder == "mmse":
+        Z = z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1])
+    zinv = cfg.inversion.invert(Z, counter)
+    margins = [
+        sum(convergence_margin(z) for z in Z[i])
+        for i, t in enumerate(trials)
+        if t < cfg.margin_trials
+    ]
+
+    if not ber:
+        ag = zinv @ z_raw  # A G per BS
+        # diag(A A^H). np.multiply, not `*`: on a large block the operator
+        # reuses the conj temporary in place and rounds differently.
+        noise = np.sum(np.multiply(ag, zinv.conj()), axis=-1).real
+        streams = sinr_from_products(ag, noise, rho_eff, cfg.noise_term)
+        if dual:
+            # a running sum adds the users in order; np.sum would pair them
+            per_user = spectral_efficiency(streams.reshape(len(trials), cfg.K, 4))
+            return np.cumsum(per_user, axis=-1)[:, -1].tolist(), margins
+        return np.sum(np.log2(1.0 + streams), axis=-1).tolist(), margins
+
+    const = cfg.constellation
+    tx_bits = np.stack(bits)
+    x = const.modulate(tx_bits.reshape(-1)).reshape(len(trials), cfg.K, -1)
+    codes = encode(x) if dual else x[..., None]  # (trials, K, J, T)
+    slots = codes.shape[-1]
+    sent = (betas[..., None, None] * codes[:, None]).reshape(*R.shape[:2], -1, slots)
+    HhY = np.sqrt(rho_eff / 2.0) * (R @ sent) + np.stack(HhW)
+    soft = np.einsum("tlij,tlj->ti", zinv, system_matched(HhY, betas, maps))
+    gains = np.einsum("tlij,tlji->ti", zinv, z_raw)  # sum over l of diag(A_l G_l)
+    rx_bits = const.demodulate(detect(soft, gains, rho_eff, const))
+    return [int(np.count_nonzero(rx_bits != tx_bits.reshape(-1)))], margins
+
+
+def oracle_chunk(cfg: ScenarioConfig, m: int, rho: float, lo: int, hi: int, ber: bool):
+    """Trials lo..hi-1, decoded in blocks and summed in trial order."""
+    maps = slot_maps(cfg.K, cfg.antennas_per_user)
+    n = maps.shape[-1]
+    block = max(1, simulate.BLOCK_ELEMENTS // (cfg.L * n * n))
+    counter = FlopCounter()
+    total = 0
+    margin_sum = 0.0
+    margin_count = 0
+    for start in range(lo, hi, block):
+        trials = range(start, min(start + block, hi))
+        values, margins = _oracle_block(cfg, maps, m, rho, trials, counter, ber)
+        for value in values:
+            total += value
+        for margin in margins:
+            margin_sum += margin
+        margin_count += cfg.L * len(margins)
+    return {
+        "total": total,
+        "margin_sum": margin_sum,
+        "margin_count": margin_count,
+        "mults": counter.complex_mults,
+        "divs": counter.complex_divs,
+        "adds": counter.complex_adds,
+    }

@@ -22,6 +22,7 @@ from cfstbc import (
 from cfstbc import simulate
 from cfstbc.simulate import PURPOSES, _chunk, draw_trial
 from helpers import (
+    oracle_chunk,
     oracle_dual_trial,
     oracle_se_trial,
     oracle_single_trial,
@@ -110,18 +111,19 @@ def _ops(chunk):
 
 @pytest.mark.parametrize("decoder,inversion,antennas", CASES)
 def test_ber_trials_match_oracle(decoder, inversion, antennas):
-    """Each trial run as a one-trial chunk, against the per-BS stacked chain."""
+    """Each trial run as a one-trial chunk at every SNR, against the per-BS stacked chain."""
     oracle = oracle_dual_trial if antennas == 2 else oracle_single_trial
     compared = 0
+    snrs_db = (-10.0, 0.0, 10.0)
+    rhos = tuple(10.0 ** (v / 10.0) for v in snrs_db)
     for seed in (0, 7, 2024):
         cfg = _config(
             decoder, inversion, antennas, L=4, M=64, K=4, master_seed=seed,
             margin_trials=2,
         )
-        for snr_db in (-10.0, 0.0, 10.0):
-            rho = 10.0 ** (snr_db / 10.0)
-            for t in range(6):
-                chunk = _chunk(cfg, cfg.M, rho, t, t + 1, ber=True)
+        for t in range(6):
+            chunks = _chunk(cfg, cfg.M, rhos, t, t + 1, ber=True)
+            for snr_db, rho, chunk in zip(snrs_db, rhos, chunks):
                 want_ops = FlopCounter()
                 want, bits, want_margins = oracle(cfg, rho, t, want_ops, t < 2)
                 assert chunk["total"] == want, (seed, snr_db, t)
@@ -142,7 +144,7 @@ def test_se_trials_match_oracle(decoder, inversion, antennas, noise_term):
     )
     for m in (50, 200):
         for t in range(3):
-            chunk = _chunk(cfg, m, cfg.rho_fixed, t, t + 1, ber=False)
+            (chunk,) = _chunk(cfg, m, (cfg.rho_fixed,), t, t + 1, ber=False)
             want_ops = FlopCounter()
             want, want_margins = oracle_se_trial(cfg, m, t, want_ops, t < 1)
             assert abs(chunk["total"] - want) <= 1e-12 * abs(want)
@@ -165,19 +167,64 @@ def test_blocks_do_not_change_a_chunk(monkeypatch, decoder, inversion, antennas,
         margin_trials=40,
     )
     rho = 1.0 if ber else cfg.rho_fixed
-    blocked = _chunk(cfg, cfg.M, rho, 0, 256, ber)
+    (blocked,) = _chunk(cfg, cfg.M, (rho,), 0, 256, ber)
     assert blocked["total"] > 0, "nothing to compare"
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)
-    assert _chunk(cfg, cfg.M, rho, 0, 256, ber) == blocked
-    singles = [_chunk(cfg, cfg.M, rho, t, t + 1, ber) for t in range(256)]
+    assert _chunk(cfg, cfg.M, (rho,), 0, 256, ber) == [blocked]
+    singles = [_chunk(cfg, cfg.M, (rho,), t, t + 1, ber)[0] for t in range(256)]
     for name, value in blocked.items():
         assert value == sum(c[name] for c in singles), name
     # a float total can absorb a last-bit change; the per-trial values cannot
     maps = slot_maps(cfg.K, antennas)
-    values, margins = simulate._block(cfg, maps, cfg.M, rho, range(256), FlopCounter(), ber)
+    [(values, margins)] = simulate._block(
+        cfg, maps, cfg.M, (rho,), range(256), [FlopCounter()], ber
+    )
     if not ber:
         assert values == [c["total"] for c in singles]
     assert margins == [c["margin_sum"] for c in singles[: cfg.margin_trials]]
+
+
+def _hexed(chunk):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in chunk.items()}
+
+
+@pytest.mark.parametrize("decoder", ["zf", "mmse"])
+@pytest.mark.parametrize("inversion", ["exact", "neumann:2", "neumann:3"])
+@pytest.mark.parametrize(
+    "antennas,modulation",
+    [(2, "bpsk"), (1, "4qam"), (2, "4qam")],
+    ids=["dual-bpsk", "single-4qam", "dual-4qam"],
+)
+@pytest.mark.parametrize(
+    "scale,snrs_db",
+    [
+        (dict(M=64, K=4), tuple(float(v) for v in range(-10, 12, 2))),
+        (dict(M=128, K=10), (-10.0, -5.0, 0.0, 5.0, 10.0)),
+    ],
+    ids=["desk", "K10"],
+)
+def test_multi_rho_chunk_matches_one_rho_oracle(
+    monkeypatch, decoder, inversion, antennas, modulation, scale, snrs_db
+):
+    """One chunk decoded at every SNR equals the one-SNR kernel, point by point.
+
+    Blocks of 3 trials: the chunk spans three blocks and the margin sample
+    ends inside the second, so shared and per-SNR values cross block edges.
+    """
+    cfg = ScenarioConfig(
+        L=4, decoder=decoder, inversion=Inversion.parse(inversion),
+        antennas_per_user=antennas, modulation=modulation, master_seed=61,
+        margin_trials=5, **scale,
+    )
+    n = slot_maps(cfg.K, antennas).shape[-1]
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 3 * cfg.L * n * n)
+    rhos = tuple(10.0 ** (v / 10.0) for v in snrs_db)
+    chunks = _chunk(cfg, cfg.M, rhos, 1, 9, ber=True)
+    assert len(chunks) == len(rhos)
+    for snr_db, rho, chunk in zip(snrs_db, rhos, chunks):
+        assert _hexed(chunk) == _hexed(oracle_chunk(cfg, cfg.M, rho, 1, 9, ber=True)), snr_db
+    assert chunks[0]["total"] > 0, "no bit errors; the comparison is vacuous"
+    assert chunks[0]["margin_count"] == cfg.L * 4
 
 
 @pytest.mark.parametrize("antennas", [1, 2])

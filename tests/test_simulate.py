@@ -21,6 +21,7 @@ from cfstbc import (
     trial_rng,
     trials_for_bits,
 )
+from cfstbc import simulate
 from cfstbc.simulate import (
     PURPOSES,
     _streams,
@@ -172,21 +173,25 @@ class TestBerSweep:
             p.conv_margin_mean for p in r2.points
         ]
 
-    def test_parallel_matches_serial(self):
-        # the pool gets every (point, chunk) pair at once; chunked reduction
-        # in trial order keeps floats bit-identical and progress in grid order
-        cfg = ScenarioConfig(
-            L=2, M=16, K=2, snr_grid_db=(4.0, -2.0, 2.0), trials=600, margin_trials=8
-        )
-        serial = run_ber_sweep(cfg, workers=1)
-        seen = []
-        parallel = run_ber_sweep(cfg, workers=2, progress=seen.append)
-        assert [p.snr_db for p in seen] == [4.0, -2.0, 2.0]
-        assert tuple(seen) == parallel.points
-        for s, p in zip(serial.points, parallel.points):
-            assert s.estimate == p.estimate
-            assert s.conv_margin_mean == p.conv_margin_mean
-            assert s.complex_mults == p.complex_mults
+    def test_parallel_matches_serial(self, monkeypatch):
+        # jobs are (group of grid points, chunk): the grid splits into groups
+        # when a sweep has fewer chunks than workers. Chunked reduction in
+        # trial order keeps floats bit-identical and progress in grid order,
+        # and a point shares its chunk's draws without changing its values.
+        grid = (4.0, -2.0, 2.0, -2.0)
+        cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=grid, trials=600, margin_trials=8)
+        for chunk in (600, 256, 100):  # 1, 3 and 6 chunks a point
+            monkeypatch.setattr(simulate, "TRIAL_CHUNK", chunk)
+            alone = [
+                run_ber_sweep(dataclasses.replace(cfg, snr_grid_db=(v,))).points[0]
+                for v in grid
+            ]
+            assert alone[1] == alone[3]
+            for workers in (1, 2, 3, 5):
+                seen = []
+                result = run_ber_sweep(cfg, workers=workers, progress=seen.append)
+                assert [p.snr_db for p in seen] == list(grid), (chunk, workers)
+                assert tuple(seen) == result.points == tuple(alone), (chunk, workers)
 
     def test_flops_and_margins_recorded(self):
         cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=10, margin_trials=4)
