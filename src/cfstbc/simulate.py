@@ -2,9 +2,9 @@
 
 Every random draw flows through a substream keyed by (master_seed, trial,
 BS index, user index, purpose), so trials are independent units whose
-results do not depend on execution order. Sweeps aggregate per-trial
-outputs in fixed chunk order, which makes serial and parallel runs of the
-same configuration bit-identical.
+results do not depend on execution order. Sweeps add per-trial outputs
+in trial order, window by window, which makes serial and parallel runs of
+the same configuration bit-identical.
 
 Each substream is numpy's ``PCG64(SeedSequence(key))`` stream of its key.
 Building ~25 such generators a trial cost more than decoding it, so
@@ -17,16 +17,17 @@ One kernel serves both scenario families and both sweep kinds. Each BS
 decodes in the Gram domain: the decoder's Gram matrix and matched filter
 follow from the small fading products H^H H and H^H Y through the code's
 fixed per-slot maps (see ``golden.slot_maps``). Each trial's M-sized draws
-are reduced to those products at once; a chunk is then decoded in blocks of
+are reduced to those products at once; a job is then decoded in blocks of
 trials as stacked (trials, L, n, n) arrays, so the per-call overhead is
 paid once per block rather than once per trial.
 
-No stream key holds the SNR, so a BER chunk is drawn once and decoded at
-every SNR point of its group (common random numbers): the draws, the
-fading products, the Gram matrices and, under ZF, the inverses and margins
-are shared, and only the received products, the MMSE loading and the
-detection are per point. Each point's partials are those a one-point
-chunk would give, so sharing changes no output bit.
+No stream key holds the SNR or M, so a job, a range of trials, is drawn
+once and decoded at every grid point (common random numbers). BER points
+also share the fading products, Grams and, under ZF, inverses and margins.
+SE points take their fading from the front of one draw at the largest M,
+which equals their own M-sized draw. Each point's values are added in
+trial order as a one-point sweep adds them, so sharing changes no output
+bit.
 
 * Dual-antenna users send 4 symbols per two-slot block through the Golden
   code.
@@ -45,12 +46,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import (
-    ChannelRealization,
-    draw_large_scale,
-    draw_noise,
-    draw_small_scale,
-)
+from .channel import ChannelRealization, draw_large_scale, draw_noise
 from .golden import encode, slot_maps, system_gram, system_matched
 from .linalg import FlopCounter, convergence_margin
 from .metrics import (
@@ -63,13 +59,14 @@ from .receiver import CONSTELLATIONS, Constellation, Inversion, detect
 
 PURPOSES = {"beta": 1, "channel": 2, "noise": 3, "bits": 4}
 
-# Trials per work unit; fixed so chunk boundaries (and therefore float
-# reduction order) never depend on the worker count.
+# Trials per reduction window and, unless workers outnumber windows, per
+# job; fixed so window boundaries (and therefore float reduction order)
+# never depend on the worker count.
 TRIAL_CHUNK = 256
 
 # Complex entries (256 KiB) each stacked Gram-domain array of a block may
 # hold; a block is as many trials as fit their L n x n matrices in it, so a
-# chunk's memory does not grow with its trial count. Against a trial-by-trial
+# job's memory does not grow with its trial count. Against a trial-by-trial
 # decode, 2^16 raised the peak RSS of a full-scale point ~10 %, 2^14 < 2 %.
 BLOCK_ELEMENTS = 2**14
 
@@ -396,26 +393,38 @@ def _stream_fields(cfg: ScenarioConfig, ber: bool) -> list[tuple[int, int, int]]
 
 
 def _draw(
-    cfg: ScenarioConfig, m: int, ber: bool, streams: Iterator[np.random.Generator]
-) -> TrialDraws:
-    """One trial's draws, each from the next of its ``_stream_fields`` streams."""
+    cfg: ScenarioConfig, ms: Sequence[int], ber: bool, streams: Iterator[np.random.Generator]
+) -> list[TrialDraws]:
+    """One trial's draws at each antenna count of ``ms`` (BER: one), from its next streams.
+
+    Each channel stream fills its row of one buffer with the normals of the
+    largest m. numpy's normals are a prefix of any longer draw, so an m's
+    fading is its stream's first m J normals (real parts) and next m J
+    (imaginary parts), as ``draw_small_scale(m, J, stream)`` draws them.
+    """
     J = cfg.antennas_per_user
     profile = draw_large_scale(cfg.L, cfg.K, next(streams))
-    # filled as (L, M, K, J), the kernel's (L, M, K*J) layout; h is its view
-    fading = np.empty((cfg.L, m, cfg.K, J), dtype=complex)
-    for l in range(cfg.L):
+    normals = np.empty((cfg.L, cfg.K, 2 * max(ms) * J))
+    for row in normals.reshape(cfg.L * cfg.K, -1):
+        next(streams).standard_normal(out=row)
+    normals *= np.sqrt(0.5)
+    bits = noise = None
+    if ber:
+        bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
         for k in range(cfg.K):
-            fading[l, :, k] = draw_small_scale(m, J, next(streams))
-    channels = ChannelRealization(fading.transpose(0, 2, 1, 3), profile)
-    if not ber:
-        return TrialDraws(channels, None, None)
-    bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
-    for k in range(cfg.K):
-        bits[k] = next(streams).integers(0, 2, size=bits.shape[1])
-    noise = np.empty((cfg.L, m, J), dtype=complex)
-    for l in range(cfg.L):
-        noise[l] = draw_noise(m, J, next(streams))
-    return TrialDraws(channels, bits, noise)
+            bits[k] = next(streams).integers(0, 2, size=bits.shape[1])
+        noise = np.empty((cfg.L, max(ms), J), dtype=complex)
+        for l in range(cfg.L):
+            noise[l] = draw_noise(max(ms), J, next(streams))
+    out = []
+    for m in ms:
+        # (L, M, K, J), the kernel's (L, M, K*J) layout; h is its view
+        fading = np.empty((cfg.L, m, cfg.K, J), dtype=complex)
+        parts = normals[..., : 2 * m * J].reshape(cfg.L, cfg.K, 2, m, J)
+        fading.real, fading.imag = parts.transpose(2, 0, 3, 1, 4)
+        channels = ChannelRealization(fading.transpose(0, 2, 1, 3), profile)
+        out.append(TrialDraws(channels, bits, noise))
+    return out
 
 
 def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> TrialDraws:
@@ -425,124 +434,132 @@ def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> Tri
     noise has one slot per user antenna (the Golden code's two slots, or
     the single-antenna model's one). Each stream is ``trial_rng`` of its key.
     """
-    return _draw(cfg, m, ber, _streams(cfg.master_seed, [trial], _stream_fields(cfg, ber)))
+    streams = _streams(cfg.master_seed, [trial], _stream_fields(cfg, ber))
+    return _draw(cfg, (m,), ber, streams)[0]
 
 
 def _block(
     cfg: ScenarioConfig,
     maps: np.ndarray,
-    m: int,
-    rhos: tuple[float, ...],
+    points: tuple[tuple[int, float], ...],
     trials: range,
-    counters: Sequence[FlopCounter],
+    pieces: Sequence[tuple[list, list[float], FlopCounter]],
     ber: bool,
-) -> list[tuple[list, list[float]]]:
-    """Decode a block of trials at every rho as stacked Gram-domain arrays.
+) -> None:
+    """Decode a block of trials at every (m, rho) point as stacked Gram-domain arrays.
 
     A BS decoder needs only Z = G^H G (plus the MMSE loading) and G^H y;
     both follow from the fading products R = H^H H and H^H Y through the
     code's slot ``maps``, so neither the stacked G nor the filter
-    A = Z^-1 G^H is formed. The draws, R, H^H W and Z are formed once and
-    serve every rho; so do the ZF inverse and margins, whose operation
-    counts go to each rho's counter. For each rho, returns the per-trial
+    A = Z^-1 G^H is formed. Each trial is drawn once, at the largest m.
+    R, H^H W and Z are formed once per distinct m and serve every point
+    with that m; so do the ZF inverse and margins, whose operation counts go
+    to each such point's counter. Each point's piece gets the per-trial
     values to add up (one bit-error count for the whole block, or each
     trial's SE summed over users) and each margin-sampled trial's margin
     sum over the BSs.
     """
     dual = cfg.antennas_per_user == 2
-    betas, R, bits, HhW = [], [], [], []
+    ms = list(dict.fromkeys(m for m, _ in points))
+    betas, bits = [], []
+    R, HhW = {m: [] for m in ms}, {m: [] for m in ms}
     streams = _streams(cfg.master_seed, trials, _stream_fields(cfg, ber))
     for t in trials:
-        draws = _draw(cfg, m, ber, streams)
-        H = draws.channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, K*J), a view
-        Hh = H.conj().swapaxes(1, 2)
+        for m, draws in zip(ms, _draw(cfg, ms, ber, streams)):
+            H = draws.channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, K*J), a view
+            Hh = H.conj().swapaxes(1, 2)
+            R[m].append(Hh @ H)
+            if ber:
+                HhW[m].append(Hh @ (cfg.noise_scale * draws.noise))
         betas.append(draws.channels.profile.betas)
-        R.append(Hh @ H)
-        if ber:
-            bits.append(draws.bits)
-            HhW.append(Hh @ (cfg.noise_scale * draws.noise))
-    betas, R = np.stack(betas), np.stack(R)
-    z_raw = system_gram(R, betas, maps)  # (trials, L, n, n)
+        bits.append(draws.bits)
+    betas = np.stack(betas)
     sampled = [i for i, t in enumerate(trials) if t < cfg.margin_trials]
 
     def inverse(Z: np.ndarray, counter: FlopCounter) -> tuple[np.ndarray, list[float]]:
         margins = [sum(convergence_margin(z) for z in Z[i]) for i in sampled]
         return cfg.inversion.invert(Z, counter), margins
 
-    if cfg.decoder == "zf":
-        shared = FlopCounter()
-        zf = inverse(z_raw, shared)
-        for counter in counters:
-            counter.merge(shared)
     if ber:
         const = cfg.constellation
         tx_bits = np.stack(bits)
         x = const.modulate(tx_bits.reshape(-1)).reshape(len(trials), cfg.K, -1)
         codes = encode(x) if dual else x[..., None]  # (trials, K, J, T)
         slots = codes.shape[-1]
-        sent = (betas[..., None, None] * codes[:, None]).reshape(*R.shape[:2], -1, slots)
-        R_sent, HhW = R @ sent, np.stack(HhW)
+        sent = (betas[..., None, None] * codes[:, None]).reshape(len(trials), cfg.L, -1, slots)
 
-    out = []
-    for rho, counter in zip(rhos, counters):
-        rho_eff = rho if dual else 2.0 * rho
+    for m in ms:
+        R_m = np.stack(R.pop(m))
+        z_raw = system_gram(R_m, betas, maps)  # (trials, L, n, n)
         if cfg.decoder == "zf":
-            zinv, margins = zf
-        else:
-            zinv, margins = inverse(z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1]), counter)
-        if not ber:
-            ag = zinv @ z_raw  # A G per BS
-            # diag(A A^H). np.multiply, not `*`: on a large block the operator
-            # reuses the conj temporary in place and rounds differently.
-            noise = np.sum(np.multiply(ag, zinv.conj()), axis=-1).real
-            streams = sinr_from_products(ag, noise, rho_eff, cfg.noise_term)
-            if dual:
-                # a running sum adds the users in order; np.sum would pair them
-                per_user = spectral_efficiency(streams.reshape(len(trials), cfg.K, 4))
-                values = np.cumsum(per_user, axis=-1)[:, -1].tolist()
+            shared = FlopCounter()
+            zinv, margins = inverse(z_raw, shared)
+        if ber:
+            R_sent, HhW_m = R_m @ sent, np.stack(HhW.pop(m))
+        for (point_m, rho), (values, point_margins, counter) in zip(points, pieces):
+            if point_m != m:
+                continue
+            rho_eff = rho if dual else 2.0 * rho
+            if cfg.decoder == "zf":
+                counter.merge(shared)
             else:
-                values = np.sum(np.log2(1.0 + streams), axis=-1).tolist()
-        else:
-            HhY = np.sqrt(rho_eff / 2.0) * R_sent + HhW
-            soft = np.einsum("tlij,tlj->ti", zinv, system_matched(HhY, betas, maps))
-            gains = np.einsum("tlij,tlji->ti", zinv, z_raw)  # sum over l of diag(A_l G_l)
-            rx_bits = const.demodulate(detect(soft, gains, rho_eff, const))
-            values = [int(np.count_nonzero(rx_bits != tx_bits.reshape(-1)))]
-        out.append((values, margins))
-    return out
+                zinv, margins = inverse(z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1]), counter)
+            point_margins.extend(margins)
+            if not ber:
+                ag = zinv @ z_raw  # A G per BS
+                # diag(A A^H). np.multiply, not `*`: on a large block the operator
+                # reuses the conj temporary in place and rounds differently.
+                noise = np.sum(np.multiply(ag, zinv.conj()), axis=-1).real
+                streams = sinr_from_products(ag, noise, rho_eff, cfg.noise_term)
+                if dual:
+                    # a running sum adds the users in order; np.sum would pair them
+                    per_user = spectral_efficiency(streams.reshape(len(trials), cfg.K, 4))
+                    values.extend(np.cumsum(per_user, axis=-1)[:, -1].tolist())
+                else:
+                    values.extend(np.sum(np.log2(1.0 + streams), axis=-1).tolist())
+            else:
+                HhY = np.sqrt(rho_eff / 2.0) * R_sent + HhW_m
+                soft = np.einsum("tlij,tlj->ti", zinv, system_matched(HhY, betas, maps))
+                gains = np.einsum("tlij,tlji->ti", zinv, z_raw)  # sum over l of diag(A_l G_l)
+                rx_bits = const.demodulate(detect(soft, gains, rho_eff, const))
+                values.append(int(np.count_nonzero(rx_bits != tx_bits.reshape(-1))))
 
 
 def _chunk(
-    cfg: ScenarioConfig, m: int, rhos: tuple[float, ...], lo: int, hi: int, ber: bool
-) -> list[dict]:
-    """Trials lo..hi-1 at each rho, decoded in blocks and summed in trial order."""
+    cfg: ScenarioConfig, points: tuple[tuple[int, float], ...], lo: int, hi: int, ber: bool
+) -> list[tuple[list, list[float], FlopCounter]]:
+    """Trials lo..hi-1 at every (m, rho) point: each point's per-trial values,
+    sampled trials' margins and operation counts, unsummed and in trial order."""
     maps = slot_maps(cfg.K, cfg.antennas_per_user)
     n = maps.shape[-1]
     block = max(1, BLOCK_ELEMENTS // (cfg.L * n * n))
-    counters = [FlopCounter() for _ in rhos]
-    parts = [{"total": 0, "margin_sum": 0.0, "margin_count": 0} for _ in rhos]
+    pieces = [([], [], FlopCounter()) for _ in points]
     for start in range(lo, hi, block):
-        trials = range(start, min(start + block, hi))
-        per_rho = _block(cfg, maps, m, rhos, trials, counters, ber)
-        for part, (values, margins) in zip(parts, per_rho):
-            for value in values:
-                part["total"] += value
-            for margin in margins:
-                part["margin_sum"] += margin
-            part["margin_count"] += cfg.L * len(margins)
-    for part, counter in zip(parts, counters):
-        part.update(
-            mults=counter.complex_mults, divs=counter.complex_divs, adds=counter.complex_adds
-        )
-    return parts
+        _block(cfg, maps, points, range(start, min(start + block, hi)), pieces, ber)
+    return pieces
 
 
-def _ber_chunk(cfg: ScenarioConfig, snrs_db: tuple[float, ...], lo: int, hi: int) -> list[dict]:
-    return _chunk(cfg, cfg.M, tuple(10.0 ** (v / 10.0) for v in snrs_db), lo, hi, ber=True)
+def _ber_chunk(cfg: ScenarioConfig, snrs_db: tuple[float, ...], lo: int, hi: int) -> list:
+    return _chunk(cfg, tuple((cfg.M, 10.0 ** (v / 10.0)) for v in snrs_db), lo, hi, ber=True)
 
 
-def _se_chunk(cfg: ScenarioConfig, ms: tuple[int, ...], lo: int, hi: int) -> list[dict]:
-    return [_chunk(cfg, m, (cfg.rho_fixed,), lo, hi, ber=False)[0] for m in ms]
+def _se_chunk(cfg: ScenarioConfig, ms: tuple[int, ...], lo: int, hi: int) -> list:
+    return _chunk(cfg, tuple((m, cfg.rho_fixed) for m in ms), lo, hi, ber=False)
+
+
+def _fold(cfg: ScenarioConfig, pieces: Sequence[tuple[list, list[float], FlopCounter]]) -> dict:
+    """One point's partial over a trial window: its pieces added in trial order."""
+    part = {"total": 0, "margin_sum": 0.0, "margin_count": 0}
+    ops = FlopCounter()
+    for values, margins, counter in pieces:
+        for value in values:
+            part["total"] += value
+        for margin in margins:
+            part["margin_sum"] += margin
+        part["margin_count"] += cfg.L * len(margins)
+        ops.merge(counter)
+    part.update(mults=ops.complex_mults, divs=ops.complex_divs, adds=ops.complex_adds)
+    return part
 
 
 def _point_stats(partials: list[dict]) -> dict:
@@ -579,44 +596,44 @@ def _sweep(
     workers: int,
     progress: Callable | None,
 ) -> RunResult:
-    """Run every (group of grid points, chunk) job; reduce each point in chunk order.
+    """Run every trial-range job over the whole grid; reduce each point in trial order.
 
-    A BER job decodes its chunk's draws, which hold no SNR, at every point
-    of its group: the whole grid, or contiguous groups of it when the sweep
-    has fewer chunks than workers, so no worker idles. An SE point's M
-    changes the draws, so each SE group is one point. A pool gets every job
-    at once; results come back in submission order, so points and progress
-    calls stay in grid order and parallel output is bit-identical to
-    serial. A point's progress call comes when its group's last chunk is
-    done.
+    No stream key holds a grid value, so a job draws its trials once and
+    decodes them at every point. Each ``TRIAL_CHUNK`` window of trials is
+    one job, or ⌈workers / windows⌉ contiguous ones when the sweep has
+    fewer windows than workers, so no worker idles. A pool gets every job
+    at once. Jobs return each point's per-trial values unsummed, and each
+    window's are added in trial order, as a one-job window adds them, so
+    the output is bit-identical whatever the split, serial or parallel.
+    Progress calls come in grid order once every job is done.
     """
     problems = cfg.validate(kind)
     if problems:
         raise ConfigError(problems)
     start = time.perf_counter()
-    ranges = range(0, cfg.trials, TRIAL_CHUNK)
-    n = len(grid)
-    groups = min(n, -(-workers // len(ranges))) if kind == "ber" else n
-    grouped = [tuple(grid[i * n // groups : (i + 1) * n // groups]) for i in range(groups)]
-    jobs = [(g, lo, min(lo + TRIAL_CHUNK, cfg.trials)) for g in grouped for lo in ranges]
-    points = []
+    windows = [(lo, min(lo + TRIAL_CHUNK, cfg.trials)) for lo in range(0, cfg.trials, TRIAL_CHUNK)]
+    split = -(-workers // len(windows))
+    cuts = [lo + i * (hi - lo) // split for lo, hi in windows for i in range(split)]
+    jobs = [(cfg, grid, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [cfg.trials])]
+    partials = [[] for _ in grid]
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         if executor is None:
-            partials = (run_chunk(cfg, *job) for job in jobs)
+            results = (run_chunk(*job) for job in jobs)
         else:
-            partials = executor.map(run_chunk, [cfg] * len(jobs), *zip(*jobs))
-        for group in grouped:
-            chunks = [next(partials) for _ in ranges]
-            for i, value in enumerate(group):
-                point = make_point(cfg, value, [chunk[i] for chunk in chunks])
-                points.append(point)
-                if progress is not None:
-                    progress(point)
+            results = executor.map(run_chunk, *zip(*jobs))
+        for _ in windows:
+            window = [next(results) for _ in range(split)]
+            for i, point in enumerate(partials):
+                point.append(_fold(cfg, [pieces[i] for pieces in window]))
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
-    return RunResult(kind, cfg, tuple(points), time.perf_counter() - start)
+    points = tuple(make_point(cfg, v, p) for v, p in zip(grid, partials))
+    if progress is not None:
+        for point in points:
+            progress(point)
+    return RunResult(kind, cfg, points, time.perf_counter() - start)
 
 
 def run_ber_sweep(
@@ -626,12 +643,12 @@ def run_ber_sweep(
 ) -> RunResult:
     """Monte Carlo BER over the configured SNR grid.
 
-    A trial's draws do not depend on the SNR, so each chunk is drawn once
-    and decoded at every SNR point of its group. ``workers > 1`` spreads
-    (group, chunk) jobs over a process pool; results are identical to the
-    serial run because each point's partials are reduced in chunk order.
+    A trial's draws do not depend on the SNR, so each job draws its trials
+    once and decodes them at every SNR point. ``workers > 1`` spreads the
+    trial-range jobs over a process pool; results are identical to the
+    serial run because each point's values are added in trial order.
     """
-    grid = [float(v) for v in cfg.snr_grid_db]
+    grid = tuple(float(v) for v in cfg.snr_grid_db)
     return _sweep("ber", cfg, grid, _ber_chunk, _ber_point, workers, progress)
 
 
@@ -642,9 +659,11 @@ def run_se_sweep(
 ) -> RunResult:
     """Mean spectral efficiency over the configured BS-antenna grid.
 
-    Each M draws its own fading, so every job is one (M, chunk) pair.
+    Each trial's channel streams are drawn once, at the largest M, and every
+    M of the grid takes its fading from the front of those draws (see
+    ``_draw``), so each job decodes the whole grid as a BER job does.
     """
-    grid = [int(m) for m in cfg.m_grid]
+    grid = tuple(int(m) for m in cfg.m_grid)
     return _sweep("se", cfg, grid, _se_chunk, _se_point, workers, progress)
 
 
@@ -664,7 +683,7 @@ def full_ber_config(**overrides) -> ScenarioConfig:
     """Large BER scenario (M=256, K=10), not run in CI.
 
     One curve is 2,500 trials at each of 11 SNRs: about 12 s serial and
-    5 s with two workers on a 2-vCPU VM.
+    6-7 s with two workers on a 2-vCPU VM (README gives the command).
     """
     base = ScenarioConfig(
         L=4,

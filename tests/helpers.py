@@ -5,12 +5,14 @@ import numpy as np
 from cfstbc import (
     NOISE_SNR_SCALED,
     NOISE_UNIT,
+    ChannelRealization,
     DegenerateSinrError,
     FlopCounter,
     convergence_margin,
     cpu_combine,
     detect,
     draw_large_scale,
+    draw_noise,
     draw_small_scale,
     encode,
     equivalent_channel,
@@ -28,7 +30,7 @@ from cfstbc import (
     zf_matrix,
 )
 from cfstbc import simulate
-from cfstbc.simulate import ScenarioConfig, _draw, _stream_fields, _streams, draw_trial
+from cfstbc.simulate import ScenarioConfig, TrialDraws, _stream_fields, _streams, draw_trial
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -265,9 +267,30 @@ def sinr(a_mats, g_mats, rho, index, noise_term=NOISE_SNR_SCALED):
     return float(rho / 2.0 * desired / denom)
 
 
-# The one-rho chunk kernel as it stood before a chunk's draws were shared
-# across the SNR grid: every call redraws its trials and re-forms R, H^H W
-# and Z. The oracle for ``cfstbc.simulate._chunk``, point by point.
+# The one-(m, rho) chunk kernel as it stood before a job's draws were shared
+# across the SNR and M grids: every call redraws its trials at its own m, one
+# ``draw_small_scale`` call per channel stream, and re-forms R, H^H W and Z.
+# The oracle for ``cfstbc.simulate._chunk``, point by point.
+
+
+def _oracle_draw(cfg: ScenarioConfig, m: int, ber: bool, streams) -> TrialDraws:
+    """One trial's draws at m, each from the next of its ``_stream_fields`` streams."""
+    J = cfg.antennas_per_user
+    profile = draw_large_scale(cfg.L, cfg.K, next(streams))
+    fading = np.empty((cfg.L, m, cfg.K, J), dtype=complex)
+    for l in range(cfg.L):
+        for k in range(cfg.K):
+            fading[l, :, k] = draw_small_scale(m, J, next(streams))
+    channels = ChannelRealization(fading.transpose(0, 2, 1, 3), profile)
+    if not ber:
+        return TrialDraws(channels, None, None)
+    bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
+    for k in range(cfg.K):
+        bits[k] = next(streams).integers(0, 2, size=bits.shape[1])
+    noise = np.empty((cfg.L, m, J), dtype=complex)
+    for l in range(cfg.L):
+        noise[l] = draw_noise(m, J, next(streams))
+    return TrialDraws(channels, bits, noise)
 
 
 def _oracle_block(
@@ -293,7 +316,7 @@ def _oracle_block(
     betas, R, bits, HhW = [], [], [], []
     streams = _streams(cfg.master_seed, trials, _stream_fields(cfg, ber))
     for t in trials:
-        draws = _draw(cfg, m, ber, streams)
+        draws = _oracle_draw(cfg, m, ber, streams)
         H = draws.channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, K*J), a view
         Hh = H.conj().swapaxes(1, 2)
         betas.append(draws.channels.profile.betas)

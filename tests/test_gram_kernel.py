@@ -20,7 +20,7 @@ from cfstbc import (
     vec,
 )
 from cfstbc import simulate
-from cfstbc.simulate import PURPOSES, _chunk, draw_trial
+from cfstbc.simulate import PURPOSES, _fold, draw_trial
 from helpers import (
     oracle_chunk,
     oracle_dual_trial,
@@ -109,6 +109,11 @@ def _ops(chunk):
     return FlopCounter(chunk["mults"], chunk["divs"], chunk["adds"])
 
 
+def _chunk(cfg, points, lo, hi, ber):
+    """Each (m, rho) point's partial over trials lo..hi-1, as a sweep folds a one-job window."""
+    return [_fold(cfg, [piece]) for piece in simulate._chunk(cfg, points, lo, hi, ber)]
+
+
 @pytest.mark.parametrize("decoder,inversion,antennas", CASES)
 def test_ber_trials_match_oracle(decoder, inversion, antennas):
     """Each trial run as a one-trial chunk at every SNR, against the per-BS stacked chain."""
@@ -122,7 +127,7 @@ def test_ber_trials_match_oracle(decoder, inversion, antennas):
             margin_trials=2,
         )
         for t in range(6):
-            chunks = _chunk(cfg, cfg.M, rhos, t, t + 1, ber=True)
+            chunks = _chunk(cfg, [(cfg.M, rho) for rho in rhos], t, t + 1, ber=True)
             for snr_db, rho, chunk in zip(snrs_db, rhos, chunks):
                 want_ops = FlopCounter()
                 want, bits, want_margins = oracle(cfg, rho, t, want_ops, t < 2)
@@ -144,7 +149,7 @@ def test_se_trials_match_oracle(decoder, inversion, antennas, noise_term):
     )
     for m in (50, 200):
         for t in range(3):
-            (chunk,) = _chunk(cfg, m, (cfg.rho_fixed,), t, t + 1, ber=False)
+            (chunk,) = _chunk(cfg, [(m, cfg.rho_fixed)], t, t + 1, ber=False)
             want_ops = FlopCounter()
             want, want_margins = oracle_se_trial(cfg, m, t, want_ops, t < 1)
             assert abs(chunk["total"] - want) <= 1e-12 * abs(want)
@@ -166,19 +171,19 @@ def test_blocks_do_not_change_a_chunk(monkeypatch, decoder, inversion, antennas,
         decoder, inversion, antennas, L=4, M=64, K=4, master_seed=31,
         margin_trials=40,
     )
-    rho = 1.0 if ber else cfg.rho_fixed
-    (blocked,) = _chunk(cfg, cfg.M, (rho,), 0, 256, ber)
+    point = (cfg.M, 1.0 if ber else cfg.rho_fixed)
+    (blocked,) = _chunk(cfg, [point], 0, 256, ber)
     assert blocked["total"] > 0, "nothing to compare"
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1)
-    assert _chunk(cfg, cfg.M, (rho,), 0, 256, ber) == [blocked]
-    singles = [_chunk(cfg, cfg.M, (rho,), t, t + 1, ber)[0] for t in range(256)]
+    assert _chunk(cfg, [point], 0, 256, ber) == [blocked]
+    singles = [_chunk(cfg, [point], t, t + 1, ber)[0] for t in range(256)]
     for name, value in blocked.items():
         assert value == sum(c[name] for c in singles), name
     # a float total can absorb a last-bit change; the per-trial values cannot
     maps = slot_maps(cfg.K, antennas)
-    [(values, margins)] = simulate._block(
-        cfg, maps, cfg.M, (rho,), range(256), [FlopCounter()], ber
-    )
+    piece = ([], [], FlopCounter())
+    simulate._block(cfg, maps, [point], range(256), [piece], ber)  # one 256-trial block
+    values, margins, _ = piece
     if not ber:
         assert values == [c["total"] for c in singles]
     assert margins == [c["margin_sum"] for c in singles[: cfg.margin_trials]]
@@ -219,12 +224,61 @@ def test_multi_rho_chunk_matches_one_rho_oracle(
     n = slot_maps(cfg.K, antennas).shape[-1]
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 3 * cfg.L * n * n)
     rhos = tuple(10.0 ** (v / 10.0) for v in snrs_db)
-    chunks = _chunk(cfg, cfg.M, rhos, 1, 9, ber=True)
+    chunks = _chunk(cfg, [(cfg.M, rho) for rho in rhos], 1, 9, ber=True)
     assert len(chunks) == len(rhos)
     for snr_db, rho, chunk in zip(snrs_db, rhos, chunks):
         assert _hexed(chunk) == _hexed(oracle_chunk(cfg, cfg.M, rho, 1, 9, ber=True)), snr_db
     assert chunks[0]["total"] > 0, "no bit errors; the comparison is vacuous"
     assert chunks[0]["margin_count"] == cfg.L * 4
+
+
+@pytest.mark.parametrize("decoder", ["zf", "mmse"])
+@pytest.mark.parametrize("inversion", ["exact", "neumann:2"])
+@pytest.mark.parametrize("antennas", [2, 1], ids=["dual", "single"])
+def test_multi_m_chunk_matches_one_m_oracle(monkeypatch, decoder, inversion, antennas):
+    """One SE chunk decoded at every M equals the one-M kernel, point by point.
+
+    The grid is unsorted and repeats an M, so the largest draw is not the
+    first point's and two points share their Grams. Blocks of 3 trials, as
+    in the multi-rho test above.
+    """
+    cfg = _config(
+        decoder, inversion, antennas, L=4, K=10, rho_fixed=10.0, master_seed=808,
+        margin_trials=5,
+    )
+    grid = (500, 100, 100, 60)
+    n = slot_maps(cfg.K, antennas).shape[-1]
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 3 * cfg.L * n * n)
+    chunks = _chunk(cfg, [(m, cfg.rho_fixed) for m in grid], 1, 9, ber=False)
+    assert len(chunks) == len(grid)
+    for m, chunk in zip(grid, chunks):
+        want = oracle_chunk(cfg, m, cfg.rho_fixed, 1, 9, ber=False)
+        assert _hexed(chunk) == _hexed(want), m
+    assert chunks[1] == chunks[2]
+    assert chunks[0]["margin_count"] == cfg.L * 4
+
+
+@pytest.mark.parametrize("antennas", [1, 2])
+def test_fading_is_the_front_of_a_longer_draw(antennas):
+    """An m-antenna fading is cut from the front of its stream's longest draw.
+
+    Sweeps draw each channel stream once, at the grid's largest M, and take
+    every M's fading from the front of it. That holds only while numpy's
+    normals are prefix-stable, so a numpy that broke it must fail here
+    rather than change SE results silently: the m-antenna draw is compared
+    bit for bit with the m-slice of a 40-antenna draw of the same stream,
+    m J real parts, then m J imaginary parts.
+    """
+    cfg = ScenarioConfig(L=3, K=2, antennas_per_user=antennas, master_seed=99)
+    t, J, longest = 5, antennas, 40
+    for m in (1, 7, 40):
+        h = draw_trial(cfg, m, t, ber=False).channels.h
+        for l in range(cfg.L):
+            for k in range(cfg.K):
+                rng = seedsequence_rng((cfg.master_seed, t, l, k, PURPOSES["channel"]))
+                normals = np.sqrt(0.5) * rng.standard_normal(2 * longest * J)
+                got = np.concatenate([h[l, k].real.ravel(), h[l, k].imag.ravel()])
+                assert [v.hex() for v in got] == [v.hex() for v in normals[: 2 * m * J]]
 
 
 @pytest.mark.parametrize("antennas", [1, 2])

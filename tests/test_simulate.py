@@ -174,10 +174,10 @@ class TestBerSweep:
         ]
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # jobs are (group of grid points, chunk): the grid splits into groups
-        # when a sweep has fewer chunks than workers. Chunked reduction in
+        # jobs are trial ranges over the whole grid: a window splits into
+        # ranges when a sweep has fewer windows than workers. Reduction in
         # trial order keeps floats bit-identical and progress in grid order,
-        # and a point shares its chunk's draws without changing its values.
+        # and a point shares its job's draws without changing its values.
         grid = (4.0, -2.0, 2.0, -2.0)
         cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=grid, trials=600, margin_trials=8)
         for chunk in (600, 256, 100):  # 1, 3 and 6 chunks a point
@@ -240,17 +240,47 @@ class TestSeSweep:
         se_single = run_se_sweep(single).points[0].se_sum
         assert se_dual > se_single
 
-    def test_parallel_matches_serial(self):
-        cfg = ScenarioConfig(L=2, K=2, m_grid=(8, 16), trials=400, margin_trials=8)
-        serial = run_se_sweep(cfg, workers=1)
-        parallel = run_se_sweep(cfg, workers=2)
-        for a, b in zip(serial.points, parallel.points):
-            assert a == b
+    def test_parallel_matches_serial(self, monkeypatch):
+        # as for BER: jobs are trial ranges over the whole M grid, and each
+        # trial is drawn once at the largest M, so a point's values do not
+        # depend on the rest of the grid, the split or the worker count.
+        grid = (16, 8, 12, 8)
+        cfg = ScenarioConfig(L=2, K=2, m_grid=grid, trials=600, margin_trials=8)
+        for chunk in (600, 256, 100):  # 1, 3 and 6 windows
+            monkeypatch.setattr(simulate, "TRIAL_CHUNK", chunk)
+            alone = [run_se_sweep(dataclasses.replace(cfg, m_grid=(m,))).points[0] for m in grid]
+            assert alone[1] == alone[3]
+            for workers in (1, 2, 3, 5):
+                seen = []
+                result = run_se_sweep(cfg, workers=workers, progress=seen.append)
+                assert [p.m for p in seen] == list(grid), (chunk, workers)
+                assert tuple(seen) == result.points == tuple(alone), (chunk, workers)
 
     def test_rejects_invalid_grid(self):
         cfg = ScenarioConfig(K=10, m_grid=(), rho_fixed=10.0)
         with pytest.raises(ConfigError):
             run_se_sweep(cfg)
+
+
+@pytest.mark.parametrize("kind", ["ber", "se"])
+def test_uneven_splits_match_one_job_windows(kind):
+    """Windows of 256 and 45 trials split 2 or 3 ways, unevenly.
+
+    The margin sample ends past the first window, and a 3-way split moves
+    the block edges (128 trials here) to 85 and 170. Every point still
+    equals its one-point serial sweep, which runs each window as one job.
+    """
+    cfg = ScenarioConfig(
+        L=2, M=16, K=2, snr_grid_db=(3.0, -4.0), m_grid=(12, 16), trials=301,
+        margin_trials=260,
+    )
+    run = run_ber_sweep if kind == "ber" else run_se_sweep
+    field = "snr_grid_db" if kind == "ber" else "m_grid"
+    alone = [
+        run(dataclasses.replace(cfg, **{field: (v,)})).points[0] for v in getattr(cfg, field)
+    ]
+    for workers in (3, 5):  # 2 and 3 jobs a window
+        assert run(cfg, workers=workers).points == tuple(alone), workers
 
 
 class TestPresets:
