@@ -43,6 +43,7 @@ from .linalg import (
     NeumannSplit,
     SingularMatrixError,
     convergence_margin,
+    convergence_margins,
     exact_inverse,
     gram,
     neumann_inverse,

@@ -1,17 +1,18 @@
 """Dense complex linear algebra for linear MIMO decoding.
 
-Gram matrices, exact inversion of Hermitian positive definite matrices via
-one Cholesky factorization, truncated Neumann-series approximate
-inversion, and the series' spectral convergence margin from one Hermitian
+Gram matrices, exact inversion of Hermitian positive definite matrices
+behind a Cholesky check, truncated Neumann-series approximate inversion,
+and the series' spectral convergence margin from one Hermitian
 eigen-solve.
 
-Matrices are plain complex ndarrays. The inversion routines and
-:func:`split_diag` take a stack of shape (..., n, n); a 2-D input is a
-stack of one. The Neumann routines broadcast over the stack, and exact
-inversion factors its matrices one LAPACK call each. Operation counts are
-tracked at the complex-operation level: one complex multiply / divide /
-add is one unit, never decomposed into real flops. A stack records the
-sum of its matrices' counts.
+Matrices are plain complex ndarrays. The inversion routines,
+:func:`split_diag` and :func:`convergence_margins` take a stack of shape
+(..., n, n); a 2-D input is a stack of one. Each routine works on the
+whole stack through batched numpy calls. Operation counts are tracked at
+the complex-operation level: one complex multiply / divide / add is one
+unit, never decomposed into real flops. They model the receiver's
+algorithms (a Cholesky inverse, the Neumann series), not the LAPACK
+routines numpy runs. A stack records the sum of its matrices' counts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 
 class SingularMatrixError(ValueError):
@@ -108,39 +108,51 @@ def gram(G: np.ndarray) -> np.ndarray:
     return G.conj().T @ G
 
 
-def _cholesky(Z: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of one matrix; the failing pivot raises."""
-    L, info = zpotrf(Z, lower=True)
-    if info == 0 and not np.isfinite(L).all():
-        # An infinite entry can pass the factorization and surface only in
-        # L; the pivot is then the first row of L that is not finite.
-        info = 1 + int(np.argmin(np.isfinite(L).all(axis=1)))
-    if info > 0:
-        raise SingularMatrixError(pivot=info - 1)
-    return L
+def _first_bad_pivot(z: np.ndarray) -> int | None:
+    """Index of the first nonpositive or non-finite Cholesky pivot of one matrix.
+
+    The pivot LAPACK's zpotrf reports: the order of the first leading
+    submatrix whose factorization fails, less one. An infinite entry can
+    pass the factorization and surface only in L; the pivot is then the
+    first row of L that is not finite. None if the matrix factors cleanly.
+    """
+    for k in range(1, z.shape[-1] + 1):
+        try:
+            L = np.linalg.cholesky(z[:k, :k])
+        except np.linalg.LinAlgError:
+            return k - 1
+        if not np.isfinite(L).all():
+            return k - 1
+    return None
 
 
 def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     """Invert a stack of Hermitian positive definite matrices.
 
-    Cholesky-factors each Z = L L^H (lower triangle) and solves the two
-    triangular systems against the identity, so Z^{-1} = L^{-H} L^{-1}.
-    Positive definiteness is validated by the factorization itself; a
-    nonpositive or non-finite pivot raises :class:`SingularMatrixError`
-    carrying the failing index of the first bad matrix in the stack.
+    One batched Cholesky factorization Z = L L^H (lower triangle) checks
+    the whole stack; the inverses then come from one batched
+    ``np.linalg.inv``. A nonpositive or non-finite pivot raises
+    :class:`SingularMatrixError` carrying the failing index of the first
+    bad matrix in the stack.
 
-    Recorded operation counts follow the textbook dense algorithm: the
-    factorization costs (n^3 - n)/6 multiplies and adds plus n(n-1)/2
-    divides, and each triangular solve against n right-hand sides costs
-    n^2(n-1)/2 multiplies and adds plus n^2 divides.
+    Recorded operation counts follow the textbook dense Cholesky inverse
+    the receiver models, not numpy's LU: the factorization costs
+    (n^3 - n)/6 multiplies and adds plus n(n-1)/2 divides, and each
+    triangular solve against n right-hand sides costs n^2(n-1)/2
+    multiplies and adds plus n^2 divides.
     """
     Z, count = _square_stack(Z)
     n = Z.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    # zpotrs is the solver scipy's cho_solve calls, without its per-call checks
-    Zinv = np.stack(
-        [zpotrs(_cholesky(z), eye, lower=True)[0] for z in Z.reshape(-1, n, n)]
-    ).reshape(Z.shape)
+    try:
+        clean = np.isfinite(np.linalg.cholesky(Z)).all()
+    except np.linalg.LinAlgError:
+        clean = False
+    if not clean:
+        for z in Z.reshape(-1, n, n):
+            pivot = _first_bad_pivot(z)
+            if pivot is not None:
+                raise SingularMatrixError(pivot=pivot)
+    Zinv = np.linalg.inv(Z)
     if counter is not None:
         counter.add(
             mults=count * ((n**3 - n) // 6 + n**2 * (n - 1)),
@@ -216,17 +228,24 @@ def neumann_r2(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     return _with_diagonal(out, dinv)
 
 
-def convergence_margin(Z: np.ndarray) -> float:
-    """Spectral radius of D^{-1} E for the split Z = D + E of one matrix.
+def convergence_margins(Z: np.ndarray) -> np.ndarray:
+    """Spectral radius of D^{-1} E for the split Z = D + E of each matrix in a stack.
 
     The Neumann series for Z^{-1} converges iff this value is below 1.
     For a Hermitian Z with a positive diagonal, D^{-1} E is similar to the
     Hermitian S = D^{-1/2} E D^{-1/2}, so the radius is max |eig(S)|, exact
-    up to rounding. S has a zero diagonal, so a diagonal Z gives exactly 0.
+    up to rounding; one batched eigen-solve serves the whole stack. S has a
+    zero diagonal, so a diagonal Z gives exactly 0. Returns one float per
+    matrix, shaped as the stack's leading axes.
     """
-    if np.ndim(Z) != 2:
-        raise ValueError(f"expected one matrix, got shape {np.shape(Z)}")
     split = split_diag(Z)
     s = 1.0 / np.sqrt(split.diagonal.real)
-    S = s[:, None] * split.E * s[None, :]
-    return float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    S = s[..., :, None] * split.E * s[..., None, :]
+    return np.max(np.abs(np.linalg.eigvalsh(S)), axis=-1)
+
+
+def convergence_margin(Z: np.ndarray) -> float:
+    """:func:`convergence_margins` of one matrix, as a float."""
+    if np.ndim(Z) != 2:
+        raise ValueError(f"expected one matrix, got shape {np.shape(Z)}")
+    return float(convergence_margins(Z))

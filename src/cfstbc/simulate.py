@@ -42,13 +42,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import ChannelRealization, draw_large_scale, draw_noise
 from .golden import encode, slot_maps, system_gram, system_matched
-from .linalg import FlopCounter, convergence_margin
+from .linalg import FlopCounter, convergence_margins
 from .metrics import (
     NOISE_SNR_SCALED,
     BerEstimate,
@@ -477,7 +478,9 @@ def _block(
     sampled = [i for i, t in enumerate(trials) if t < cfg.margin_trials]
 
     def inverse(Z: np.ndarray, counter: FlopCounter) -> tuple[np.ndarray, list[float]]:
-        margins = [sum(convergence_margin(z) for z in Z[i]) for i in sampled]
+        # one eigen-solve over the sampled (S, L, n, n) stack; each trial's
+        # margins are then added in BS order
+        margins = [sum(row) for row in convergence_margins(Z[sampled]).tolist()]
         return cfg.inversion.invert(Z, counter), margins
 
     if ber:
@@ -601,11 +604,14 @@ def _sweep(
     No stream key holds a grid value, so a job draws its trials once and
     decodes them at every point. Each ``TRIAL_CHUNK`` window of trials is
     one job, or ⌈workers / windows⌉ contiguous ones when the sweep has
-    fewer windows than workers, so no worker idles. A pool gets every job
-    at once. Jobs return each point's per-trial values unsummed, and each
-    window's are added in trial order, as a one-job window adds them, so
-    the output is bit-identical whatever the split, serial or parallel.
-    Progress calls come in grid order once every job is done.
+    fewer windows than workers, so no process idles; empty ranges are
+    dropped. ``workers`` counts the caller, which runs jobs 0, workers,
+    2 workers, ... itself while a pool of at most workers - 1 processes
+    runs the rest; a sweep of one job starts no pool. Jobs return each
+    point's per-trial values unsummed, and each window's are added in trial
+    order, as a one-job window adds them, so the output is bit-identical
+    whatever the split, serial or parallel. Progress calls come in grid
+    order once every job is done.
     """
     problems = cfg.validate(kind)
     if problems:
@@ -614,21 +620,25 @@ def _sweep(
     windows = [(lo, min(lo + TRIAL_CHUNK, cfg.trials)) for lo in range(0, cfg.trials, TRIAL_CHUNK)]
     split = -(-workers // len(windows))
     cuts = [lo + i * (hi - lo) // split for lo, hi in windows for i in range(split)]
-    jobs = [(cfg, grid, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [cfg.trials])]
-    partials = [[] for _ in grid]
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [cfg.trials]) if lo < hi]
+    pooled = [i for i in range(len(ranges)) if i % workers]
+    results = [None] * len(ranges)
+    executor = ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) if pooled else None
     try:
-        if executor is None:
-            results = (run_chunk(*job) for job in jobs)
-        else:
-            results = executor.map(run_chunk, *zip(*jobs))
-        for _ in windows:
-            window = [next(results) for _ in range(split)]
-            for i, point in enumerate(partials):
-                point.append(_fold(cfg, [pieces[i] for pieces in window]))
+        futures = {i: executor.submit(run_chunk, cfg, grid, *ranges[i]) for i in pooled}
+        for i in range(0, len(ranges), workers):
+            results[i] = run_chunk(cfg, grid, *ranges[i])
+        for i, future in futures.items():
+            results[i] = future.result()
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
+    partials = [[] for _ in grid]
+    by_window = groupby(zip(ranges, results), key=lambda job: job[0][0] // TRIAL_CHUNK)
+    for _, window in by_window:
+        window = [pieces for _, pieces in window]
+        for i, point in enumerate(partials):
+            point.append(_fold(cfg, [pieces[i] for pieces in window]))
     points = tuple(make_point(cfg, v, p) for v, p in zip(grid, partials))
     if progress is not None:
         for point in points:
@@ -645,8 +655,9 @@ def run_ber_sweep(
 
     A trial's draws do not depend on the SNR, so each job draws its trials
     once and decodes them at every SNR point. ``workers > 1`` spreads the
-    trial-range jobs over a process pool; results are identical to the
-    serial run because each point's values are added in trial order.
+    trial-range jobs over the caller and a pool of ``workers - 1``
+    processes; results are identical to the serial run because each
+    point's values are added in trial order.
     """
     grid = tuple(float(v) for v in cfg.snr_grid_db)
     return _sweep("ber", cfg, grid, _ber_chunk, _ber_point, workers, progress)

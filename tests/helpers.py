@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit: seeded system draws and loop-level oracles."""
 
 import numpy as np
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from cfstbc import (
     NOISE_SNR_SCALED,
@@ -8,6 +9,7 @@ from cfstbc import (
     ChannelRealization,
     DegenerateSinrError,
     FlopCounter,
+    SingularMatrixError,
     convergence_margin,
     cpu_combine,
     detect,
@@ -114,6 +116,27 @@ def counted_cholesky_inverse(Z: np.ndarray):
             X[i, col] = acc / np.conj(L[i, i])
             divs += 1
     return X, mults, divs, adds
+
+
+def oracle_exact_inverse(Z: np.ndarray) -> np.ndarray:
+    """LAPACK zpotrf + zpotrs per matrix: the inverse ``exact_inverse`` replaced.
+
+    Raises :class:`SingularMatrixError` at zpotrf's failing pivot, or at the
+    first row of L that is not finite when an infinite entry passes the
+    factorization, in the first bad matrix of the stack.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    n = Z.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    out = []
+    for z in Z.reshape(-1, n, n):
+        L, info = zpotrf(z, lower=True)
+        if info == 0 and not np.isfinite(L).all():
+            info = 1 + int(np.argmin(np.isfinite(L).all(axis=1)))
+        if info > 0:
+            raise SingularMatrixError(pivot=info - 1)
+        out.append(zpotrs(L, eye, lower=True)[0])
+    return np.stack(out).reshape(Z.shape)
 
 
 def random_hpd(n: int, seed: int, spread: float = 1.0) -> np.ndarray:

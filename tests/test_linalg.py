@@ -8,13 +8,20 @@ from cfstbc import (
     FlopCounter,
     SingularMatrixError,
     convergence_margin,
+    convergence_margins,
     exact_inverse,
     gram,
     neumann_inverse,
     neumann_r2,
     split_diag,
 )
-from helpers import counted_cholesky_inverse, draw_system, gram_loop, random_hpd
+from helpers import (
+    counted_cholesky_inverse,
+    draw_system,
+    gram_loop,
+    oracle_exact_inverse,
+    random_hpd,
+)
 
 Z22 = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
 
@@ -100,6 +107,44 @@ class TestExactInverse:
         with pytest.raises(SingularMatrixError) as err:
             exact_inverse(Z)
         assert err.value.pivot == pivot
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        lead=st.sampled_from([(1,), (3,), (2, 3)]),
+        seed=st.integers(0, 2**31),
+        spread=st.floats(0.0, 3.0),
+        loading=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    )
+    def test_matches_lapack_oracle(self, n, lead, seed, spread, loading):
+        count = int(np.prod(lead))
+        Z = _hpd_stack(n, seed, count, spread) + loading * np.eye(n)
+        Z = Z.reshape(*lead, n, n)
+        want = oracle_exact_inverse(Z)
+        assert np.abs(exact_inverse(Z) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**31),
+        row=st.integers(0, 11),
+        col=st.integers(0, 11),
+        value=st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 10.0, 1e300]),
+    )
+    def test_failing_pivot_matches_lapack_oracle(self, n, seed, row, col, value):
+        """zpotrf's pivot, or no error, wherever one bad entry lands."""
+        Z = random_hpd(n, seed)
+        Z[row % n, col % n] = value
+        Z[col % n, row % n] = np.conj(value)
+
+        def pivot(invert):
+            try:
+                invert(Z)
+            except SingularMatrixError as err:
+                return err.pivot
+            return None
+
+        assert pivot(exact_inverse) == pivot(oracle_exact_inverse)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_flop_formula_matches_instrumented_oracle(self, n):
@@ -213,6 +258,21 @@ class TestConvergenceMargin:
         assert abs(convergence_margin(Z) - oracle) <= 1e-12
 
 
+class TestConvergenceMargins:
+    @pytest.mark.parametrize("n", [4, 8, 16, 40])
+    def test_stack_matches_per_matrix_bit_for_bit(self, n):
+        Z = _hpd_stack(n, seed=n, count=24, spread=1.5).reshape(6, 4, n, n)
+        Z[1] += 0.5 * np.eye(n)
+        margins = convergence_margins(Z)
+        assert margins.shape == (6, 4)
+        want = [convergence_margin(z).hex() for z in Z.reshape(-1, n, n)]
+        assert [float(m).hex() for m in margins.ravel()] == want
+
+    def test_diagonal_gives_exactly_zero(self):
+        Z = np.stack([np.diag([3.0, 1.0, 0.5]), np.diag([2.0, 7.0, 1.0])]).astype(complex)
+        assert convergence_margins(Z).tolist() == [0.0, 0.0]
+
+
 class TestSeriesConvergenceRate:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_error_shrinks_geometrically(self, seed):
@@ -305,7 +365,13 @@ class TestStackedInversion:
         assert err.value.pivot == 3
 
     @pytest.mark.parametrize(
-        "call", [split_diag, INVERTERS["neumann_r2"], INVERTERS["neumann_inverse_3"]]
+        "call",
+        [
+            split_diag,
+            convergence_margins,
+            INVERTERS["neumann_r2"],
+            INVERTERS["neumann_inverse_3"],
+        ],
     )
     def test_zero_diagonal_in_stack_reports_its_index(self, call):
         Z = _hpd_stack(4, seed=8, count=3)

@@ -3,6 +3,8 @@ import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +285,68 @@ def test_uneven_splits_match_one_job_windows(kind):
         assert run(cfg, workers=workers).points == tuple(alone), workers
 
 
+_ber_chunk = simulate._ber_chunk
+
+
+def _chunk_failing_at(bad_lo, cfg, grid, lo, hi):
+    """A BER job that raises on the trial range starting at ``bad_lo``."""
+    if lo == bad_lo:
+        raise SingularMatrixError(pivot=3)
+    return _ber_chunk(cfg, grid, lo, hi)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The size of every process pool a sweep starts, in order."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestCallerShare:
+    """``workers`` counts the caller, which runs jobs 0, workers, 2 workers, ..."""
+
+    @pytest.mark.parametrize(
+        "trials,workers,sizes",
+        [
+            (1, 2, []),  # one job: run in the caller, not sent to a pool
+            (1, 5, []),
+            (300, 1, []),
+            (2, 5, [1]),  # two non-empty ranges of five
+            (600, 2, [1]),  # three windows
+            (600, 3, [2]),
+            (600, 5, [4]),  # six jobs, two a window
+        ],
+    )
+    def test_pool_size(self, pools, trials, workers, sizes):
+        cfg = ScenarioConfig(
+            L=2, M=16, K=2, snr_grid_db=(0.0, 6.0), trials=trials, margin_trials=8
+        )
+        result = run_ber_sweep(cfg, workers=workers)
+        assert pools == sizes
+        assert result.points == run_ber_sweep(cfg).points
+
+    @pytest.mark.parametrize("bad_lo,in_pool", [(0, False), (512, False), (256, True)])
+    def test_job_error_surfaces_intact(self, monkeypatch, pools, bad_lo, in_pool):
+        # 600 trials, two workers: the caller runs the ranges starting at 0
+        # and 512, the pool the one at 256; a pool error carries the
+        # worker's traceback as its cause
+        monkeypatch.setattr(simulate, "_ber_chunk", partial(_chunk_failing_at, bad_lo))
+        cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=600)
+        with pytest.raises(SingularMatrixError) as err:
+            run_ber_sweep(cfg, workers=2)
+        assert err.value.pivot == 3
+        assert str(err.value) == str(SingularMatrixError(pivot=3))
+        assert (err.value.__cause__ is not None) == in_pool
+        assert pools == [1]
+
+
 class TestPresets:
     def test_desk_preset_is_valid(self):
         cfg = desk_ber_config()
@@ -320,18 +384,30 @@ class TestWorkerErrors:
         assert getattr(restored, attribute) == getattr(error, attribute)
 
 
+def _run_python(code: str, env: dict) -> str:
+    """stdout of ``python -c code`` with this checkout's ``src`` on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**env, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return out.stdout.strip()
+
+
 class TestBlasThreadDefault:
     def _blas_threads(self, env):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**env, "PYTHONPATH": str(src)}
-        code = "import cfstbc, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=60, check=True,
-        )
-        return out.stdout.strip()
+        return _run_python("import cfstbc, os; print(os.environ['OPENBLAS_NUM_THREADS'])", env)
 
     def test_single_threaded_unless_set(self):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         assert self._blas_threads(env) == "1"
         assert self._blas_threads({**env, "OPENBLAS_NUM_THREADS": "3"}) == "3"
+
+
+def test_exact_sweep_imports_no_scipy():
+    code = (
+        "import sys; from cfstbc import ScenarioConfig, run_ber_sweep; "
+        "run_ber_sweep(ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=1)); "
+        "print('scipy' in sys.modules)"
+    )
+    assert _run_python(code, dict(os.environ)) == "False"
