@@ -478,9 +478,11 @@ def _block(
     sampled = [i for i, t in enumerate(trials) if t < cfg.margin_trials]
 
     def inverse(Z: np.ndarray, counter: FlopCounter) -> tuple[np.ndarray, list[float]]:
-        # one eigen-solve over the sampled (S, L, n, n) stack; each trial's
-        # margins are then added in BS order
-        margins = [sum(row) for row in convergence_margins(Z[sampled]).tolist()]
+        margins = []
+        if sampled:
+            # one eigen-solve over the sampled (S, L, n, n) stack; each
+            # trial's margins are then added in BS order
+            margins = [sum(row) for row in convergence_margins(Z[sampled]).tolist()]
         return cfg.inversion.invert(Z, counter), margins
 
     if ber:

@@ -285,14 +285,14 @@ def test_uneven_splits_match_one_job_windows(kind):
         assert run(cfg, workers=workers).points == tuple(alone), workers
 
 
-_ber_chunk = simulate._ber_chunk
+_real_ber_chunk = simulate._ber_chunk
 
 
 def _chunk_failing_at(bad_lo, cfg, grid, lo, hi):
     """A BER job that raises on the trial range starting at ``bad_lo``."""
     if lo == bad_lo:
         raise SingularMatrixError(pivot=3)
-    return _ber_chunk(cfg, grid, lo, hi)
+    return _real_ber_chunk(cfg, grid, lo, hi)
 
 
 @pytest.fixture
