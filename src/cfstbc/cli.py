@@ -117,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument(
-            "--workers", default=None, help="worker processes (number or 'auto')"
+            "--workers",
+            default=None,
+            help="decoding processes, counting this one (number or 'auto')",
         )
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 

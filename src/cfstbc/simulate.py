@@ -695,8 +695,8 @@ def desk_ber_config(**overrides) -> ScenarioConfig:
 def full_ber_config(**overrides) -> ScenarioConfig:
     """Large BER scenario (M=256, K=10), not run in CI.
 
-    One curve is 2,500 trials at each of 11 SNRs: about 12 s serial and
-    6-7 s with two workers on a 2-vCPU VM (README gives the command).
+    One curve is 2,500 trials at each of 11 SNRs: about 13-14 s serial and
+    6-8 s with two workers on a 2-vCPU VM (README gives the command).
     """
     base = ScenarioConfig(
         L=4,
