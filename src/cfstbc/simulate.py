@@ -29,6 +29,13 @@ which equals their own M-sized draw. Each point's values are added in
 trial order as a one-point sweep adds them, so sharing changes no output
 bit.
 
+A process keeps one pool of worker processes for all its parallel sweeps
+(see ``_sweep``). The workers are forked by the first sweep that needs
+them and keep the module state of that moment: a later change to a global
+read inside a job, such as ``BLOCK_ELEMENTS`` or a kernel function, does
+not reach them until ``_close_pool`` drops the pool. Sweeps are not meant
+to run from several threads at once.
+
 * Dual-antenna users send 4 symbols per two-slot block through the Golden
   code.
 * Single-antenna users follow the plain one-slot model
@@ -40,7 +47,8 @@ bit.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -592,6 +600,38 @@ def _se_point(cfg: ScenarioConfig, m: int, partials: list[dict]) -> SePoint:
     )
 
 
+# The process's pool as (size, executor), kept from one parallel sweep to
+# the next; the stdlib's exit hook joins its workers at interpreter exit.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _close_pool() -> None:
+    """Shut the kept pool down and join its workers; the next sweep forks anew."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+def _submit(size: int, calls: list[tuple]) -> list:
+    """Futures of ``calls`` on the kept pool of ``size`` worker processes.
+
+    A pool of another size, or one broken since the last sweep (a worker
+    was killed), is shut down before its replacement is forked, so no fork
+    happens while the old pool's threads run.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != size:
+        _close_pool()
+    if _pool is not None:
+        try:
+            return [_pool[1].submit(*call) for call in calls]
+        except BrokenProcessPool:
+            _close_pool()
+    _pool = (size, ProcessPoolExecutor(max_workers=size))
+    return [_pool[1].submit(*call) for call in calls]
+
+
 def _sweep(
     kind: str,
     cfg: ScenarioConfig,
@@ -614,6 +654,14 @@ def _sweep(
     order, as a one-job window adds them, so the output is bit-identical
     whatever the split, serial or parallel. Progress calls come in grid
     order once every job is done.
+
+    The pool is kept for the next sweep of the process (see ``_submit``).
+    Its workers keep the module state of the sweep that forked them, so a
+    test that patches a global read inside a job and then runs with
+    ``workers > 1`` calls ``_close_pool`` first. On an error the pending
+    jobs are cancelled and the running ones waited for, so the next sweep
+    does not queue behind them. Sweeps are not meant to run from several
+    threads at once.
     """
     problems = cfg.validate(kind)
     if problems:
@@ -625,16 +673,20 @@ def _sweep(
     ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [cfg.trials]) if lo < hi]
     pooled = [i for i in range(len(ranges)) if i % workers]
     results = [None] * len(ranges)
-    executor = ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) if pooled else None
+    futures = []
     try:
-        futures = {i: executor.submit(run_chunk, cfg, grid, *ranges[i]) for i in pooled}
+        if pooled:
+            calls = [(run_chunk, cfg, grid, *ranges[i]) for i in pooled]
+            futures = _submit(min(workers - 1, len(pooled)), calls)
         for i in range(0, len(ranges), workers):
             results[i] = run_chunk(cfg, grid, *ranges[i])
-        for i, future in futures.items():
+        for i, future in zip(pooled, futures):
             results[i] = future.result()
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
     partials = [[] for _ in grid]
     by_window = groupby(zip(ranges, results), key=lambda job: job[0][0] // TRIAL_CHUNK)
     for _, window in by_window:

@@ -1,8 +1,11 @@
 import dataclasses
+import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -295,18 +298,48 @@ def _chunk_failing_at(bad_lo, cfg, grid, lo, hi):
     return _real_ber_chunk(cfg, grid, lo, hi)
 
 
+class _PoolLog(list):
+    """Sizes of the pools started, in order; ``futures`` holds every job submitted."""
+
+    def __init__(self):
+        super().__init__()
+        self.futures = []
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """The size of every process pool a sweep starts, in order."""
-    sizes = []
+    """The size of every process pool a sweep starts, in order.
+
+    The kept pool is dropped before and after the test, so only the pools
+    this test starts are recorded.
+    """
+    log = _PoolLog()
 
     class RecordingPool(ProcessPoolExecutor):
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            log.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+        def submit(self, *args):
+            log.futures.append(super().submit(*args))
+            return log.futures[-1]
+
+    simulate._close_pool()
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    yield log
+    simulate._close_pool()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _pool_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
 
 
 class TestCallerShare:
@@ -345,6 +378,63 @@ class TestCallerShare:
         assert str(err.value) == str(SingularMatrixError(pivot=3))
         assert (err.value.__cause__ is not None) == in_pool
         assert pools == [1]
+
+
+class TestPoolReuse:
+    """One pool serves every parallel sweep of a process until it must change."""
+
+    cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0, 6.0), trials=600, margin_trials=8)
+
+    def test_sweeps_in_a_row_share_one_pool(self, pools):
+        first = run_ber_sweep(self.cfg, workers=2)
+        workers = _pool_pids()
+        second = run_ber_sweep(self.cfg, workers=2)
+        assert pools == [1]
+        assert _pool_pids() == workers and len(workers) == 1
+        assert first.points == second.points == run_ber_sweep(self.cfg).points
+
+    def test_other_worker_count_replaces_the_pool(self, pools):
+        run_ber_sweep(self.cfg, workers=2)
+        old = _pool_pids()
+        result = run_ber_sweep(self.cfg, workers=3)
+        new = _pool_pids()
+        assert pools == [1, 2]
+        assert len(new) == 2 and old.isdisjoint(new)
+        assert not any(_alive(pid) for pid in old)
+        assert result.points == run_ber_sweep(self.cfg).points
+
+    @pytest.mark.parametrize("bad_lo", [0, 64])
+    def test_next_sweep_after_a_job_error_succeeds(self, monkeypatch, pools, bad_lo):
+        # 24 windows, two workers: the caller runs the even jobs, the pool
+        # the odd ones; a failed sweep leaves no job of its own queued. Only
+        # the caller reads TRIAL_CHUNK. The failing job is passed in, not
+        # patched into the module, which the kept workers would go on reading.
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK", 64)
+        cfg = dataclasses.replace(self.cfg, trials=24 * 64)
+        failing = partial(_chunk_failing_at, bad_lo)
+        grid = cfg.snr_grid_db
+        with pytest.raises(SingularMatrixError):
+            simulate._sweep("ber", cfg, grid, failing, simulate._ber_point, 2, None)
+        assert len(pools.futures) == 12
+        assert all(f.done() for f in pools.futures)
+        if bad_lo == 0:  # the caller fails first, with pool jobs still pending
+            assert any(f.cancelled() for f in pools.futures)
+        assert run_ber_sweep(cfg, workers=2).points == run_ber_sweep(cfg).points
+        assert pools == [1]
+
+    def test_killed_worker_is_replaced(self, pools):
+        serial = run_ber_sweep(self.cfg).points
+        assert run_ber_sweep(self.cfg, workers=2).points == serial
+        (pid,) = _pool_pids()
+        os.kill(pid, signal.SIGKILL)
+        # the pool's manager thread marks the pool broken, then reaps the worker
+        deadline = time.monotonic() + 30
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(pid)
+        assert run_ber_sweep(self.cfg, workers=2).points == serial
+        assert pools == [1, 1]
+        assert pid not in _pool_pids()
 
 
 class TestPresets:
@@ -411,3 +501,19 @@ def test_exact_sweep_imports_no_scipy():
         "print('scipy' in sys.modules)"
     )
     assert _run_python(code, dict(os.environ)) == "False"
+
+
+def test_no_worker_outlives_its_process():
+    code = (
+        "import multiprocessing\n"
+        "from cfstbc import ScenarioConfig, run_ber_sweep\n"
+        "cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=600, margin_trials=1)\n"
+        "for _ in range(2):\n"
+        "    run_ber_sweep(cfg, workers=3)\n"
+        "    print(*sorted(p.pid for p in multiprocessing.active_children()))\n"
+    )
+    first, second = _run_python(code, dict(os.environ)).splitlines()
+    assert first == second  # the second sweep reused the first one's pool
+    pids = [int(pid) for pid in first.split()]
+    assert len(pids) == 2
+    assert not any(_alive(pid) for pid in pids)
