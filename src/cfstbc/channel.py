@@ -6,7 +6,7 @@ receiver noise are i.i.d. circularly symmetric complex Gaussian with unit
 variance per entry. All draws consume a caller-supplied
 ``numpy.random.Generator`` so realizations are reproducible and
 parallel-safe. ``simulate`` hands each draw numpy's SeedSequence->PCG64
-stream of its own key, with the states of a whole block of trials derived
+stream of its own key, with the states of a whole job of trials derived
 at once (see ``simulate.trial_rng`` and ``simulate.stream_states``).
 """
 

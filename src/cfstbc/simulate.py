@@ -9,9 +9,9 @@ the same configuration bit-identical.
 Each substream is numpy's ``PCG64(SeedSequence(key))`` stream of its key.
 Building ~25 such generators a trial cost more than decoding it, so
 ``stream_states`` runs numpy's published SeedSequence hash and PCG64
-seeding for every stream of a block of trials at once, and the block's
-draws take turns on one generator set to each derived state. The streams
-are exactly numpy's; only their set-up is batched.
+seeding for every stream of a job's trials at once, and the job's draws
+take turns on one generator set to each derived state. The streams are
+exactly numpy's; only their set-up is batched.
 
 One kernel serves both scenario families and both sweep kinds. Each BS
 decodes in the Gram domain: the decoder's Gram matrix and matched filter
@@ -55,7 +55,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, draw_large_scale, draw_noise
+from .channel import ChannelRealization, LargeScaleProfile, draw_large_scale, draw_noise
 from .golden import encode, slot_maps, system_gram, system_matched
 from .linalg import FlopCounter, convergence_margins
 from .metrics import (
@@ -164,16 +164,25 @@ def _seedsequence_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return state.view("<u8")
 
 
+def _pcg64_state(words: np.ndarray) -> tuple[int, int]:
+    """PCG64 (state, inc) seeded by SeedSequence's four uint64 words."""
+    s_hi, s_lo, i_hi, i_lo = words.tolist()
+    # pcg64_set_seed: state = 0, inc = 2 seq + 1, step, add the seed, step
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    return (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+
 def stream_states(
     master_seed: int, trials: Sequence[int], fields: Sequence[tuple[int, ...]]
-) -> list[tuple[int, int]]:
+) -> Iterator[tuple[int, int]]:
     """PCG64 (state, inc) of the stream keyed (master_seed, trial, *field).
 
     One pair per trial and field, trial-major: each is the state
-    ``np.random.PCG64(np.random.SeedSequence(key))`` starts from, derived
-    for all keys in one vectorized pass. The entropy words are the ones
-    SeedSequence builds from the key tuple: each int's little-endian
-    uint32 words, in field order.
+    ``np.random.PCG64(np.random.SeedSequence(key))`` starts from. The call
+    derives every key's seed words in one vectorized pass and keeps them
+    packed; each pair is made from its words when the iterator reaches it.
+    The entropy words are the ones SeedSequence builds from the key tuple:
+    each int's little-endian uint32 words, in field order.
     """
     head = _words(master_seed)
     trial_words, trial_len = _padded([_words(t) for t in trials])
@@ -188,13 +197,7 @@ def stream_states(
     np.put_along_axis(entropy, np.broadcast_to(at, (T, S, wf)), field_words[None], axis=2)
     lengths = h + trial_len[:, None] + field_len[None, :]
     words = _seedsequence_words(entropy.reshape(T * S, -1), lengths.reshape(-1))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in words.tolist():
-        # pcg64_set_seed: state = 0, inc = 2 seq + 1, step, add the seed, step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    return map(_pcg64_state, words)
 
 
 def _streams(
@@ -402,38 +405,45 @@ def _stream_fields(cfg: ScenarioConfig, ber: bool) -> list[tuple[int, int, int]]
 
 
 def _draw(
-    cfg: ScenarioConfig, ms: Sequence[int], ber: bool, streams: Iterator[np.random.Generator]
-) -> list[TrialDraws]:
-    """One trial's draws at each antenna count of ``ms`` (BER: one), from its next streams.
+    cfg: ScenarioConfig, m: int, ber: bool, streams: Iterator[np.random.Generator]
+) -> tuple[LargeScaleProfile, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One trial's draws at m antennas from its next streams: the gains, the
+    channel streams' normals and, for BER, the bits and noise.
 
-    Each channel stream fills its row of one buffer with the normals of the
-    largest m. numpy's normals are a prefix of any longer draw, so an m's
-    fading is its stream's first m J normals (real parts) and next m J
-    (imaginary parts), as ``draw_small_scale(m, J, stream)`` draws them.
+    Each channel stream fills its row of one (L, K, 2 m J) buffer, scaled
+    once; ``_fading`` cuts the fading of m or fewer antennas from it.
     """
     J = cfg.antennas_per_user
     profile = draw_large_scale(cfg.L, cfg.K, next(streams))
-    normals = np.empty((cfg.L, cfg.K, 2 * max(ms) * J))
+    normals = np.empty((cfg.L, cfg.K, 2 * m * J))
     for row in normals.reshape(cfg.L * cfg.K, -1):
         next(streams).standard_normal(out=row)
+    if not np.isfinite(normals).all():
+        raise ValueError("channel entries must be finite")
     normals *= np.sqrt(0.5)
     bits = noise = None
     if ber:
         bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
         for k in range(cfg.K):
             bits[k] = next(streams).integers(0, 2, size=bits.shape[1])
-        noise = np.empty((cfg.L, max(ms), J), dtype=complex)
+        noise = np.empty((cfg.L, m, J), dtype=complex)
         for l in range(cfg.L):
-            noise[l] = draw_noise(max(ms), J, next(streams))
-    out = []
-    for m in ms:
-        # (L, M, K, J), the kernel's (L, M, K*J) layout; h is its view
-        fading = np.empty((cfg.L, m, cfg.K, J), dtype=complex)
-        parts = normals[..., : 2 * m * J].reshape(cfg.L, cfg.K, 2, m, J)
-        fading.real, fading.imag = parts.transpose(2, 0, 3, 1, 4)
-        channels = ChannelRealization(fading.transpose(0, 2, 1, 3), profile)
-        out.append(TrialDraws(channels, bits, noise))
-    return out
+            noise[l] = draw_noise(m, J, next(streams))
+    return profile, normals, bits, noise
+
+
+def _fading(normals: np.ndarray, m: int, J: int) -> np.ndarray:
+    """X = H^T, the complex (L, K J, m) fading of m antennas, from ``_draw``'s normals.
+
+    numpy's normals are a prefix of any longer draw, so an m's fading is
+    its stream's first m J normals (real parts) and next m J (imaginary
+    parts), as ``draw_small_scale(m, J, stream)`` draws them. Every copy
+    runs along the antennas; user k's antenna j is row k J + j.
+    """
+    L, K, _ = normals.shape
+    X = np.empty((L, K, J, m), dtype=complex)
+    X.real, X.imag = normals[..., : 2 * m * J].reshape(L, K, 2, m, J).transpose(2, 0, 1, 4, 3)
+    return X.reshape(L, K * J, m)
 
 
 def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> TrialDraws:
@@ -444,7 +454,9 @@ def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> Tri
     the single-antenna model's one). Each stream is ``trial_rng`` of its key.
     """
     streams = _streams(cfg.master_seed, [trial], _stream_fields(cfg, ber))
-    return _draw(cfg, (m,), ber, streams)[0]
+    profile, normals, bits, noise = _draw(cfg, m, ber, streams)
+    h = _fading(normals, m, cfg.antennas_per_user).reshape(cfg.L, cfg.K, -1, m).swapaxes(2, 3)
+    return TrialDraws(ChannelRealization(h, profile), bits, noise)
 
 
 def _block(
@@ -452,6 +464,7 @@ def _block(
     maps: np.ndarray,
     points: tuple[tuple[int, float], ...],
     trials: range,
+    streams: Iterator[np.random.Generator],
     pieces: Sequence[tuple[list, list[float], FlopCounter]],
     ber: bool,
 ) -> None:
@@ -460,7 +473,9 @@ def _block(
     A BS decoder needs only Z = G^H G (plus the MMSE loading) and G^H y;
     both follow from the fading products R = H^H H and H^H Y through the
     code's slot ``maps``, so neither the stacked G nor the filter
-    A = Z^-1 G^H is formed. Each trial is drawn once, at the largest m.
+    A = Z^-1 G^H is formed. Each trial is drawn once, at the largest m,
+    from the job's next ``streams``. With X = H^T as ``_fading`` cuts it,
+    R = conj(X) X^T and H^H W = conj(X) W.
     R, H^H W and Z are formed once per distinct m and serve every point
     with that m; so do the ZF inverse and margins, whose operation counts go
     to each such point's counter. Each point's piece gets the per-trial
@@ -472,16 +487,16 @@ def _block(
     ms = list(dict.fromkeys(m for m, _ in points))
     betas, bits = [], []
     R, HhW = {m: [] for m in ms}, {m: [] for m in ms}
-    streams = _streams(cfg.master_seed, trials, _stream_fields(cfg, ber))
-    for t in trials:
-        for m, draws in zip(ms, _draw(cfg, ms, ber, streams)):
-            H = draws.channels.h.transpose(0, 2, 1, 3).reshape(cfg.L, m, -1)  # (L, M, K*J), a view
-            Hh = H.conj().swapaxes(1, 2)
-            R[m].append(Hh @ H)
+    for _ in trials:
+        profile, normals, trial_bits, noise = _draw(cfg, max(ms), ber, streams)
+        for m in ms:
+            X = _fading(normals, m, cfg.antennas_per_user)
+            Xc = X.conj()
+            R[m].append(Xc @ X.swapaxes(1, 2))
             if ber:
-                HhW[m].append(Hh @ (cfg.noise_scale * draws.noise))
-        betas.append(draws.channels.profile.betas)
-        bits.append(draws.bits)
+                HhW[m].append(Xc @ (cfg.noise_scale * noise))
+        betas.append(profile.betas)
+        bits.append(trial_bits)
     betas = np.stack(betas)
     sampled = [i for i, t in enumerate(trials) if t < cfg.margin_trials]
 
@@ -542,13 +557,16 @@ def _chunk(
     cfg: ScenarioConfig, points: tuple[tuple[int, float], ...], lo: int, hi: int, ber: bool
 ) -> list[tuple[list, list[float], FlopCounter]]:
     """Trials lo..hi-1 at every (m, rho) point: each point's per-trial values,
-    sampled trials' margins and operation counts, unsummed and in trial order."""
+    sampled trials' margins and operation counts, unsummed and in trial order.
+
+    The job's stream states are derived once; its blocks draw from them in turn."""
     maps = slot_maps(cfg.K, cfg.antennas_per_user)
     n = maps.shape[-1]
     block = max(1, BLOCK_ELEMENTS // (cfg.L * n * n))
     pieces = [([], [], FlopCounter()) for _ in points]
+    streams = _streams(cfg.master_seed, range(lo, hi), _stream_fields(cfg, ber))
     for start in range(lo, hi, block):
-        _block(cfg, maps, points, range(start, min(start + block, hi)), pieces, ber)
+        _block(cfg, maps, points, range(start, min(start + block, hi)), streams, pieces, ber)
     return pieces
 
 
@@ -726,7 +744,7 @@ def run_se_sweep(
 
     Each trial's channel streams are drawn once, at the largest M, and every
     M of the grid takes its fading from the front of those draws (see
-    ``_draw``), so each job decodes the whole grid as a BER job does.
+    ``_fading``), so each job decodes the whole grid as a BER job does.
     """
     grid = tuple(int(m) for m in cfg.m_grid)
     return _sweep("se", cfg, grid, _se_chunk, _se_point, workers, progress)
@@ -747,8 +765,8 @@ def desk_ber_config(**overrides) -> ScenarioConfig:
 def full_ber_config(**overrides) -> ScenarioConfig:
     """Large BER scenario (M=256, K=10), not run in CI.
 
-    One curve is 2,500 trials at each of 11 SNRs: about 13-14 s serial and
-    6-8 s with two workers on a 2-vCPU VM (README gives the command).
+    One curve is 2,500 trials at each of 11 SNRs: about 8-10 s serial and
+    4-6 s with two workers on a 2-vCPU VM (README gives the command).
     """
     base = ScenarioConfig(
         L=4,

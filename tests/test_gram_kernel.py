@@ -1,5 +1,7 @@
 """Gram-domain chunk kernel against the stacked-system oracles in helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,7 +184,8 @@ def test_blocks_do_not_change_a_chunk(monkeypatch, decoder, inversion, antennas,
     # a float total can absorb a last-bit change; the per-trial values cannot
     maps = slot_maps(cfg.K, antennas)
     piece = ([], [], FlopCounter())
-    simulate._block(cfg, maps, [point], range(256), [piece], ber)  # one 256-trial block
+    streams = simulate._streams(cfg.master_seed, range(256), simulate._stream_fields(cfg, ber))
+    simulate._block(cfg, maps, [point], range(256), streams, [piece], ber)  # one 256-trial block
     values, margins, _ = piece
     if not ber:
         assert values == [c["total"] for c in singles]
@@ -310,3 +313,72 @@ def test_draw_trial_reads_the_keyed_streams(antennas):
     se_draws = draw_trial(cfg, cfg.M, t, ber=False)
     assert se_draws.bits is None and se_draws.noise is None
     np.testing.assert_array_equal(se_draws.channels.h, draws.channels.h)
+
+
+def _hexed_piece(piece, ber):
+    """A piece with its floats as hex; BER values are per block, so their sum."""
+    values, margins, counter = piece
+    values = [sum(values)] if ber else [v.hex() for v in values]
+    return values, [v.hex() for v in margins], counter
+
+
+@pytest.mark.parametrize("ber", [True, False], ids=["ber", "se"])
+def test_streams_are_set_up_once_per_job(monkeypatch, ber):
+    """A job derives its stream states in one pass, whatever its blocks.
+
+    A K = 10 dual block holds 2 trials, so 16 trials are 8 blocks; each
+    block takes its draws from the job's one stream iterator, and blocks of
+    1, 2 or 3 trials give the same pieces bit for bit: every SE value and
+    margin, and each BER point's error count.
+    """
+    cfg = _config(
+        "zf", "exact", 2, L=4, M=24, K=10, rho_fixed=10.0, master_seed=412,
+        margin_trials=5,
+    )
+    points = ((cfg.M, 0.5), (cfg.M, 5.0)) if ber else ((24, cfg.rho_fixed), (40, cfg.rho_fixed))
+    calls, real = [], simulate.stream_states
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "stream_states", counted)
+    blocked = simulate._chunk(cfg, points, 0, 16, ber)
+    assert len(calls) == 1
+    assert list(calls[0][1]) == list(range(16))
+    assert all(sum(values) > 0 for values, _, _ in blocked), "nothing to compare"
+    n = slot_maps(cfg.K, 2).shape[-1]
+    for trials in (1, 2, 3):
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", trials * cfg.L * n * n)
+        pieces = simulate._chunk(cfg, points, 0, 16, ber)
+        want = [_hexed_piece(p, ber) for p in blocked]
+        assert [_hexed_piece(p, ber) for p in pieces] == want, trials
+
+
+class _NanNormals:
+    """A generator whose in-place normals are NaN; its other draws are a real stream's."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.rng.standard_normal(size)
+        out[...] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("ber", [True, False], ids=["ber", "se"])
+def test_nonfinite_fading_fails_in_the_kernel(monkeypatch, ber):
+    """A NaN from a channel stream raises ValueError rather than reaching a decode."""
+    cfg = _config("zf", "exact", 2, L=2, M=16, K=2, rho_fixed=10.0)
+    stand_in = _NanNormals()
+    monkeypatch.setattr(simulate, "_streams", lambda *args: itertools.repeat(stand_in))
+    with pytest.raises(ValueError, match="finite"):
+        simulate._chunk(cfg, ((cfg.M, 1.0),), 0, 3, ber)

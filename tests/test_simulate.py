@@ -100,7 +100,7 @@ class TestStreamStates:
             for f in fields:
                 state = np.random.PCG64(np.random.SeedSequence((seed, t, *f))).state["state"]
                 want.append((state["state"], state["inc"]))
-        assert stream_states(seed, trials, fields) == want
+        assert list(stream_states(seed, trials, fields)) == want
 
     def test_integers_after_a_stream_left_half_a_word(self):
         streams = _streams(77, [3], [(0, 1, PURPOSES["bits"]), (0, 2, PURPOSES["bits"])])
