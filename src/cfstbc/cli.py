@@ -32,6 +32,7 @@ from .simulate import (
     ConfigError,
     RunResult,
     ScenarioConfig,
+    _pin_heap,
     draw_trial,
     run_ber_sweep,
     run_se_sweep,
@@ -131,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = sub.add_parser("se", help="spectral-efficiency sweep over BS antenna counts")
     add_scenario_flags(se)
-    se.add_argument("--rho", type=float, default=None, help="linear SNR for SE runs")
+    se.add_argument(
+        "--rho", type=float, default=None, help="linear SNR; SE ignores it unless --noise-term unit"
+    )
     se.add_argument(
         "--M-grid",
         dest="m_grid",
@@ -376,6 +379,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             f"se_sum={point.se_sum:.4f} margin={point.conv_margin_mean:.4f}"
         )
 
+    _pin_heap()
     if invocation.command == "ber":
         progress = None if invocation.quiet else show_ber
         result = run_ber_sweep(cfg, workers=invocation.workers, progress=progress)

@@ -46,6 +46,7 @@ to run from several threads at once.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -59,6 +60,7 @@ from .channel import ChannelRealization, LargeScaleProfile, draw_large_scale, dr
 from .golden import encode, slot_maps, system_gram, system_matched
 from .linalg import FlopCounter, convergence_margins
 from .metrics import (
+    _NOISE_TERMS,
     NOISE_SNR_SCALED,
     BerEstimate,
     sinr_from_products,
@@ -309,6 +311,8 @@ class ScenarioConfig:
             problems.append(f"noise_scale must be >= 0, got {self.noise_scale}")
         if self.margin_trials < 1:
             problems.append(f"margin_trials must be >= 1, got {self.margin_trials}")
+        if self.noise_term not in _NOISE_TERMS:
+            problems.append(f"noise_term must be one of {_NOISE_TERMS}, got {self.noise_term!r}")
         if kind == "ber":
             if not self.snr_grid_db:
                 problems.append("snr_grid_db must be non-empty for a BER sweep")
@@ -618,6 +622,23 @@ def _se_point(cfg: ScenarioConfig, m: int, partials: list[dict]) -> SePoint:
     )
 
 
+def _pin_heap() -> bool:
+    """Keep freed arrays on this process's heap; False if its libc cannot.
+
+    glibc would map each large array afresh, or trim the heap's free top, so a
+    trial's arrays would fault their pages in on every trial. 32 MiB is glibc's
+    64-bit ceiling for its dynamic mmap threshold, and trim is twice it. The CLI
+    calls this and the pool runs it in each worker; a library caller is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on this process
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's malloc.h
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20))
+
+
 # The process's pool as (size, executor), kept from one parallel sweep to
 # the next; the stdlib's exit hook joins its workers at interpreter exit.
 _pool: tuple[int, ProcessPoolExecutor] | None = None
@@ -646,7 +667,7 @@ def _submit(size: int, calls: list[tuple]) -> list:
             return [_pool[1].submit(*call) for call in calls]
         except BrokenProcessPool:
             _close_pool()
-    _pool = (size, ProcessPoolExecutor(max_workers=size))
+    _pool = (size, ProcessPoolExecutor(max_workers=size, initializer=_pin_heap))
     return [_pool[1].submit(*call) for call in calls]
 
 
@@ -765,8 +786,8 @@ def desk_ber_config(**overrides) -> ScenarioConfig:
 def full_ber_config(**overrides) -> ScenarioConfig:
     """Large BER scenario (M=256, K=10), not run in CI.
 
-    One curve is 2,500 trials at each of 11 SNRs: about 8-10 s serial and
-    4-6 s with two workers on a 2-vCPU VM (README gives the command).
+    One curve is 2,500 trials at each of 11 SNRs: about 7-8 s serial and
+    4-4.5 s with two workers on a 2-vCPU VM (README gives the command).
     """
     base = ScenarioConfig(
         L=4,

@@ -182,6 +182,16 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", ["ber --trials 2 --snr-db 0", "se --trials 2 --M-grid 8 --K 1 --L 1"]
+    )
+    def test_unknown_noise_term_is_a_config_error(self, command, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        rc = main(command.split() + ["--noise-term", "bogus", "--quiet", "--out", str(out)])
+        assert rc == 2
+        assert "config error: noise_term" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_is_4(self, tmp_path, capsys):
         rc = main(
             [

@@ -1,7 +1,9 @@
+import ctypes
 import dataclasses
 import multiprocessing
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -9,13 +11,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_genlaguerre
 
 from cfstbc import (
+    NOISE_SNR_SCALED,
+    NOISE_UNIT,
     ConfigError,
     DegenerateSplitError,
     Inversion,
@@ -26,11 +32,12 @@ from cfstbc import (
     trial_rng,
     trials_for_bits,
 )
-from cfstbc import simulate
+from cfstbc import cli, simulate
 from cfstbc.simulate import (
     PURPOSES,
     _streams,
     desk_ber_config,
+    draw_trial,
     full_ber_config,
     se_sweep_config,
     stream_states,
@@ -139,6 +146,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             run_ber_sweep(cfg)
         assert err.value.problems
+
+    @pytest.mark.parametrize("kind", ["ber", "se"])
+    def test_noise_term_checked(self, kind):
+        cfg = ScenarioConfig(snr_grid_db=(0.0,), m_grid=(64,), trials=2, noise_term="bogus")
+        assert any("noise_term" in p and "'bogus'" in p for p in cfg.validate(kind))
+        for term in (NOISE_SNR_SCALED, NOISE_UNIT):
+            assert dataclasses.replace(cfg, noise_term=term).validate(kind) == []
+        sweep = run_ber_sweep if kind == "ber" else run_se_sweep
+        with pytest.raises(ConfigError):
+            sweep(cfg)
 
     def test_fairness_pairing(self):
         dual = ScenarioConfig(modulation="bpsk", antennas_per_user=2)
@@ -266,6 +283,42 @@ class TestSeSweep:
         with pytest.raises(ConfigError):
             run_se_sweep(cfg)
 
+    @pytest.mark.parametrize("noise_term", [NOISE_SNR_SCALED, NOISE_UNIT])
+    def test_exact_zf_matches_the_gamma_oracle(self, noise_term):
+        """One BS, exact ZF, single-antenna users: G = H diag(beta) with H
+        i.i.d. CN(0, 1), so SINR_k = s beta_k^2 X_k, where
+        X_k = 1/[(H^H H)^-1]_kk ~ Gamma(M - K + 1, 1) and s is 1 under the
+        snr-scaled noise term (rho cancels) and rho under the unit one.
+
+        The sweep's SE must lie within 3 standard errors of the mean, over
+        the same trials' betas, of sum_k E[log2(1 + s beta_k^2 X)], by
+        generalized Gauss-Laguerre quadrature; the standard error is that of
+        the users' conditional Gamma variances. It must also lie above the
+        ZF rate lower bound sum_k log2(1 + s beta_k^2 (M - K)), Jensen's
+        inequality on E[1/X] = 1/(M - K).
+        """
+        K, grid, trials = 4, (8, 16, 64), 3000
+        cfg = ScenarioConfig(
+            L=1, K=K, antennas_per_user=1, modulation="4qam", m_grid=grid,
+            trials=trials, margin_trials=1, master_seed=11, noise_term=noise_term,
+        )
+        points = run_se_sweep(cfg, workers=2).points
+        scale = 1.0 if noise_term == NOISE_SNR_SCALED else cfg.rho_fixed
+        betas = [draw_trial(cfg, K, t, ber=False).channels.profile.betas[0] for t in range(trials)]
+        gains = scale * np.square(betas)  # (trials, K)
+        for m, point in zip(grid, points):
+            # the weight x^(m-K) e^-x is the Gamma(m - K + 1, 1) density up to a constant
+            x, w = roots_genlaguerre(80, m - K)
+            w /= w.sum()
+            rates = np.log2(1.0 + gains[..., None] * x)
+            mean = rates @ w
+            var = rates**2 @ w - mean**2
+            reference = mean.sum(axis=1).mean()
+            stderr = np.sqrt(var.sum()) / trials
+            bound = np.log2(1.0 + gains * (m - K)).sum(axis=1).mean()
+            assert abs(point.se_sum - reference) < 3 * stderr, (m, point.se_sum, reference, stderr)
+            assert point.se_sum > bound and reference > bound, (m, point.se_sum, bound)
+
 
 @pytest.mark.parametrize("kind", ["ber", "se"])
 def test_uneven_splits_match_one_job_windows(kind):
@@ -316,9 +369,9 @@ def pools(monkeypatch):
     log = _PoolLog()
 
     class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             log.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, **options)
 
         def submit(self, *args):
             log.futures.append(super().submit(*args))
@@ -474,11 +527,11 @@ class TestWorkerErrors:
         assert getattr(restored, attribute) == getattr(error, attribute)
 
 
-def _run_python(code: str, env: dict) -> str:
-    """stdout of ``python -c code`` with this checkout's ``src`` on the path."""
+def _run_python(code: str, env: dict, *args: str) -> str:
+    """stdout of ``python -c code args`` with this checkout's ``src`` on the path."""
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={**env, "PYTHONPATH": str(src)},
+        [sys.executable, "-c", code, *args], env={**env, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60, check=True,
     )
     return out.stdout.strip()
@@ -517,3 +570,107 @@ def test_no_worker_outlives_its_process():
     pids = [int(pid) for pid in first.split()]
     assert len(pids) == 2
     assert not any(_alive(pid) for pid in pids)
+
+
+_GLIBC_64 = platform.libc_ver()[0] == "glibc" and sys.maxsize > 2**32
+
+# Two identical full-scale BER sweeps (8 trials, 2 SNRs) in a fresh process,
+# through the CLI or the library. Prints the minor page faults of the second
+# sweep per (trial, point): the caller's when serial, else the pool's one
+# worker's (field 10 of /proc/<pid>/stat), which decodes trials 4-7.
+_SECOND_SWEEP_FAULTS = """
+import multiprocessing, resource, sys
+from cfstbc import Inversion, ScenarioConfig, cli, run_ber_sweep
+entry, workers, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+cfg = ScenarioConfig(M=256, K=10, L=4, snr_grid_db=(0.0, 5.0), trials=8,
+                     margin_trials=2, inversion=Inversion.neumann(2))
+argv = ["ber", "--M", "256", "--K", "10", "--L", "4", "--snr-db", "0,5", "--trials", "8",
+        "--margin-trials", "2", "--inversion", "neumann:2", "--workers", str(workers),
+        "--quiet", "--out", out]
+def sweep():
+    if entry == "cli":
+        assert cli.main(argv) == 0
+    else:
+        run_ber_sweep(cfg, workers=workers)
+def faults():
+    if workers == 1:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt, 16
+    (worker,) = multiprocessing.active_children()
+    with open(f"/proc/{worker.pid}/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[7]), 8
+sweep()
+before, _ = faults()
+sweep()
+after, per = faults()
+print((after - before) / per)
+"""
+
+
+@pytest.mark.skipif(not _GLIBC_64, reason="mallopt thresholds are glibc's, 64-bit")
+class TestHeapKept:
+    """Without the pinned thresholds a full-scale trial's arrays fault their
+    pages in again on every trial: the caller read ~130 faults per (trial,
+    point) and the worker ~118, against ~1 and ~3 with them."""
+
+    BOUND = 20
+
+    def _faults(self, tmp_path, entry, workers):
+        env = {k: v for k, v in os.environ.items() if k != "CFSTBC_MAX_WORKERS"}
+        out = str(tmp_path / "faults.csv")
+        return float(_run_python(_SECOND_SWEEP_FAULTS, env, entry, str(workers), out))
+
+    def test_the_cli_process_keeps_its_heap(self, tmp_path):
+        assert self._faults(tmp_path, "cli", 1) < self.BOUND
+
+    @pytest.mark.parametrize("entry", ["cli", "library"])
+    def test_pool_workers_keep_their_heap(self, tmp_path, entry):
+        # through the library only the pool initializer pins the worker's heap
+        assert self._faults(tmp_path, entry, 2) < self.BOUND
+
+
+class TestPinHeap:
+    ONE_TRIAL = "ber --M 8 --K 1 --L 1 --snr-db 0 --trials 1 --workers 1 --quiet --out".split()
+
+    @staticmethod
+    def _libc(**symbols):
+        """A stand-in for ``ctypes.CDLL`` whose library exports ``symbols``."""
+
+        def load(name):
+            assert name is None  # the process's own symbols
+            return SimpleNamespace(**symbols)
+
+        return load
+
+    def test_without_mallopt_it_is_a_silent_no_op(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(ctypes, "CDLL", self._libc())  # as on macOS
+        assert simulate._pin_heap() is False
+        assert simulate._pin_heap() is False
+        out = tmp_path / "one.csv"
+        assert cli.main(self.ONE_TRIAL + [str(out)]) == 0
+        assert out.exists()
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_refused_threshold_is_reported(self, monkeypatch):
+        def mallopt(param, value):
+            return 0
+
+        monkeypatch.setattr(ctypes, "CDLL", self._libc(mallopt=mallopt))
+        assert simulate._pin_heap() is False
+
+    def test_only_the_cli_sets_the_thresholds(self, monkeypatch, tmp_path):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", self._libc(mallopt=mallopt))
+        run_ber_sweep(ScenarioConfig(L=1, M=8, K=1, snr_grid_db=(0.0,), trials=1))
+        assert calls == []  # an embedding process is left as it is
+        assert cli.main(self.ONE_TRIAL + [str(tmp_path / "one.csv")]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.skipif(not _GLIBC_64, reason="mallopt thresholds are glibc's, 64-bit")
+    def test_glibc_accepts_it_again(self):
+        assert simulate._pin_heap() is True
+        assert simulate._pin_heap() is True
