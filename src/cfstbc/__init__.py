@@ -39,7 +39,6 @@ from .golden import (
 )
 from .linalg import (
     DegenerateSplitError,
-    FlopCounter,
     NeumannSplit,
     SingularMatrixError,
     convergence_margin,

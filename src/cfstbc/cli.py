@@ -57,20 +57,29 @@ class CliInvocation:
 
 
 def _parse_grid(text: str, cast):
-    """Parse 'start:step:stop' (inclusive) or a comma list into a tuple."""
+    """Parse 'start:step:stop' (inclusive) or a comma list into a tuple.
+
+    An ``int`` grid takes whole numbers only.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:step:stop")
         start, step, stop = (float(p) for p in parts)
+        if not np.isfinite([start, step, stop]).all():
+            raise ValueError(f"grid {text!r} must be finite")
         if step <= 0:
             raise ValueError(f"grid step must be positive in {text!r}")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
             raise ValueError(f"grid {text!r} is empty")
-        return tuple(cast(start + i * step) for i in range(count))
-    return tuple(cast(float(p)) for p in text.split(",") if p.strip())
+        values = [start + i * step for i in range(count)]
+    else:
+        values = [float(p) for p in text.split(",") if p.strip()]
+    if cast is int and not all(v.is_integer() for v in values):
+        raise ValueError(f"grid {text!r} must hold whole numbers")
+    return tuple(cast(v) for v in values)
 
 
 def build_parser() -> argparse.ArgumentParser:

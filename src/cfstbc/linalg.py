@@ -8,11 +8,8 @@ eigen-solve.
 Matrices are plain complex ndarrays. The inversion routines,
 :func:`split_diag` and :func:`convergence_margins` take a stack of shape
 (..., n, n); a 2-D input is a stack of one. Each routine works on the
-whole stack through batched numpy calls. Operation counts are tracked at
-the complex-operation level: one complex multiply / divide / add is one
-unit, never decomposed into real flops. They model the receiver's
-algorithms (a Cholesky inverse, the Neumann series), not the LAPACK
-routines numpy runs. A stack records the sum of its matrices' counts.
+whole stack through batched numpy calls. Their operation counts are not
+tallied here: ``receiver.Inversion.ops`` gives each one's per-matrix cost.
 """
 
 from __future__ import annotations
@@ -46,29 +43,6 @@ class DegenerateSplitError(ValueError):
         return type(self), (self.index,)
 
 
-@dataclass
-class FlopCounter:
-    """Complex-operation tally for one inversion call.
-
-    Counts only grow; callers aggregate across calls by summing fields or
-    via :meth:`merge`.
-    """
-
-    complex_mults: int = 0
-    complex_divs: int = 0
-    complex_adds: int = 0
-
-    def add(self, mults: int = 0, divs: int = 0, adds: int = 0) -> None:
-        if mults < 0 or divs < 0 or adds < 0:
-            raise ValueError("flop counts are non-decreasing")
-        self.complex_mults += mults
-        self.complex_divs += divs
-        self.complex_adds += adds
-
-    def merge(self, other: "FlopCounter") -> None:
-        self.add(other.complex_mults, other.complex_divs, other.complex_adds)
-
-
 @dataclass(frozen=True)
 class NeumannSplit:
     """Split Z = D + E with D the diagonal part and E the zero-diagonal rest."""
@@ -81,12 +55,12 @@ class NeumannSplit:
         return np.diagonal(self.D, axis1=-2, axis2=-1)
 
 
-def _square_stack(Z: np.ndarray) -> tuple[np.ndarray, int]:
-    """Z as a complex (..., n, n) stack, with the number of matrices in it."""
+def _square_stack(Z: np.ndarray) -> np.ndarray:
+    """Z as a complex (..., n, n) stack."""
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim < 2 or Z.shape[-2] != Z.shape[-1]:
         raise ValueError(f"expected square matrices, got shape {Z.shape}")
-    return Z, int(np.prod(Z.shape[:-2]))
+    return Z
 
 
 def _with_diagonal(A: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -126,7 +100,7 @@ def _first_bad_pivot(z: np.ndarray) -> int | None:
     return None
 
 
-def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+def exact_inverse(Z: np.ndarray) -> np.ndarray:
     """Invert a stack of Hermitian positive definite matrices.
 
     One batched Cholesky factorization Z = L L^H (lower triangle) checks
@@ -134,14 +108,8 @@ def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarr
     ``np.linalg.inv``. A nonpositive or non-finite pivot raises
     :class:`SingularMatrixError` carrying the failing index of the first
     bad matrix in the stack.
-
-    Recorded operation counts follow the textbook dense Cholesky inverse
-    the receiver models, not numpy's LU: the factorization costs
-    (n^3 - n)/6 multiplies and adds plus n(n-1)/2 divides, and each
-    triangular solve against n right-hand sides costs n^2(n-1)/2
-    multiplies and adds plus n^2 divides.
     """
-    Z, count = _square_stack(Z)
+    Z = _square_stack(Z)
     n = Z.shape[-1]
     try:
         clean = np.isfinite(np.linalg.cholesky(Z)).all()
@@ -152,14 +120,7 @@ def exact_inverse(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarr
             pivot = _first_bad_pivot(z)
             if pivot is not None:
                 raise SingularMatrixError(pivot=pivot)
-    Zinv = np.linalg.inv(Z)
-    if counter is not None:
-        counter.add(
-            mults=count * ((n**3 - n) // 6 + n**2 * (n - 1)),
-            divs=count * (n * (n - 1) // 2 + 2 * n**2),
-            adds=count * ((n**3 - n) // 6 + n**2 * (n - 1)),
-        )
-    return Zinv
+    return np.linalg.inv(Z)
 
 
 def split_diag(Z: np.ndarray) -> NeumannSplit:
@@ -168,7 +129,7 @@ def split_diag(Z: np.ndarray) -> NeumannSplit:
     A zero diagonal entry raises :class:`DegenerateSplitError` with its
     index in the first matrix of the stack that has one.
     """
-    Z, _ = _square_stack(Z)
+    Z = _square_stack(Z)
     d = np.diagonal(Z, axis1=-2, axis2=-1)
     zero = np.argwhere(d == 0)
     if zero.size:
@@ -178,53 +139,36 @@ def split_diag(Z: np.ndarray) -> NeumannSplit:
     )
 
 
-def neumann_inverse(
-    Z: np.ndarray, R: int, counter: FlopCounter | None = None
-) -> np.ndarray:
+def neumann_inverse(Z: np.ndarray, R: int) -> np.ndarray:
     """R-term Neumann-series approximation of Z^{-1}, for a stack of Z.
 
     Evaluates sum_{r=0}^{R-1} (-D^{-1} E)^r D^{-1} for the diagonal split
     Z = D + E. R=1 returns D^{-1} exactly. Convergence is not checked here;
     see :func:`convergence_margin` for the spectral-radius criterion.
-
-    Counts reflect the generic evaluation: n divides for D^{-1}, n(n-1)
-    multiplies to scale E, and a dense n x n matrix product plus a matrix
-    add per extra term.
     """
     if R < 1:
         raise ValueError(f"series order must be >= 1, got {R}")
-    Z, count = _square_stack(Z)
-    n = Z.shape[-1]
     split = split_diag(Z)
     dinv = 1.0 / split.diagonal
     Dinv = _with_diagonal(np.zeros_like(split.E), dinv)
     T = -(dinv[..., :, None] * split.E)
-    if counter is not None:
-        counter.add(divs=count * n, mults=count * n * (n - 1))
     result = Dinv.copy()
     term = Dinv
     for _ in range(1, R):
         term = T @ term
         result = result + term
-        if counter is not None:
-            counter.add(mults=count * n**3, adds=count * (n**2 * (n - 1) + n**2))
     return result
 
 
-def neumann_r2(Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+def neumann_r2(Z: np.ndarray) -> np.ndarray:
     """Two-term Neumann approximation D^{-1} - D^{-1} E D^{-1}, for a stack of Z.
 
     Algebraically identical to ``neumann_inverse(Z, 2)`` but evaluated as
-    two diagonal scalings of E, so the recorded cost is the cheap form:
-    n divides and 2n(n-1) multiplies, no dense matrix product.
+    two diagonal scalings of E, with no dense matrix product.
     """
-    Z, count = _square_stack(Z)
-    n = Z.shape[-1]
     split = split_diag(Z)
     dinv = 1.0 / split.diagonal
     out = -((dinv[..., :, None] * split.E) * dinv[..., None, :])
-    if counter is not None:
-        counter.add(divs=count * n, mults=count * 2 * n * (n - 1))
     return _with_diagonal(out, dinv)
 
 

@@ -4,7 +4,7 @@ Each base station applies its own decoder A_l to the vectorized receive
 block; the central unit sums the per-BS soft outputs and their effective
 symbol gains, then slices each combined entry against the constellation.
 The Gram-matrix inversion inside A_l is pluggable: exact Cholesky or a
-truncated Neumann series.
+truncated Neumann series, each with its per-inverse operation count.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import FlopCounter
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,8 @@ CONSTELLATIONS = {"bpsk": BPSK, "4qam": QAM4}
 class Inversion:
     """Choice of Gram-inversion routine: exact or Neumann of a given order.
 
-    Order 2 dispatches to the specialized two-term form so the recorded
-    operation counts reflect its low cost.
+    Order 2 dispatches to the specialized two-term form, whose cost
+    :meth:`ops` counts as such.
     """
 
     method: str
@@ -128,13 +127,33 @@ class Inversion:
     def label(self) -> str:
         return "exact" if self.method == "exact" else f"neumann:{self.order}"
 
-    def invert(self, Z: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+    def invert(self, Z: np.ndarray) -> np.ndarray:
         """Inverse (or its approximation) of each matrix in a (..., n, n) stack."""
         if self.method == "exact":
-            return linalg.exact_inverse(Z, counter)
+            return linalg.exact_inverse(Z)
         if self.order == 2:
-            return linalg.neumann_r2(Z, counter)
-        return linalg.neumann_inverse(Z, self.order, counter)
+            return linalg.neumann_r2(Z)
+        return linalg.neumann_inverse(Z, self.order)
+
+    def ops(self, n: int) -> tuple[int, int, int]:
+        """Complex (multiplies, divides, adds) to invert one n x n matrix.
+
+        One complex operation is one unit. The counts model the receiver's
+        algorithms, not the LAPACK routines numpy runs. Exact is the textbook
+        Cholesky inverse: (n^3 - n)/6 multiplies and adds plus n(n-1)/2
+        divides to factor, then two triangular solves against n right-hand
+        sides, each n^2(n-1)/2 multiplies and adds plus n^2 divides. Neumann
+        takes n divides for D^-1 and n(n-1) multiplies to scale E, then a
+        dense product and a matrix add (n^3 multiplies, n^3 adds) per term
+        after the first; order 2 scales E twice, 2n(n-1) multiplies.
+        """
+        if self.method == "exact":
+            solve = (n**3 - n) // 6 + n**2 * (n - 1)
+            return solve, n * (n - 1) // 2 + 2 * n**2, solve
+        if self.order == 2:
+            return 2 * n * (n - 1), n, 0
+        terms = self.order - 1
+        return n * (n - 1) + terms * n**3, n, terms * n**3
 
 
 @dataclass(frozen=True)
@@ -153,28 +172,21 @@ class DecoderMatrix:
     gains: np.ndarray
 
 
-def zf_matrix(
-    G: np.ndarray, inversion: Inversion, counter: FlopCounter | None = None
-) -> DecoderMatrix:
+def zf_matrix(G: np.ndarray, inversion: Inversion) -> DecoderMatrix:
     """Zero-forcing decoder A = inv(G^H G) G^H with the selected inverter."""
     Z = linalg.gram(G)
-    Zinv = inversion.invert(Z, counter)
+    Zinv = inversion.invert(Z)
     A = Zinv @ G.conj().T
     gains = np.sum(A.T * G, axis=0)  # diag(A @ G) without the full product
     return DecoderMatrix(A=A, kind="zf", inversion=inversion, gram=Z, gains=gains)
 
 
-def mmse_matrix(
-    G: np.ndarray,
-    rho: float,
-    inversion: Inversion,
-    counter: FlopCounter | None = None,
-) -> DecoderMatrix:
+def mmse_matrix(G: np.ndarray, rho: float, inversion: Inversion) -> DecoderMatrix:
     """MMSE decoder A = inv(G^H G + (2/rho) I) G^H with the selected inverter."""
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     Z = linalg.gram(G) + (2.0 / rho) * np.eye(G.shape[1])
-    Zinv = inversion.invert(Z, counter)
+    Zinv = inversion.invert(Z)
     A = Zinv @ G.conj().T
     gains = np.sum(A.T * G, axis=0)  # diag(A @ G) without the full product
     return DecoderMatrix(A=A, kind="mmse", inversion=inversion, gram=Z, gains=gains)

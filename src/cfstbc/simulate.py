@@ -58,7 +58,7 @@ import numpy as np
 
 from .channel import ChannelRealization, LargeScaleProfile, draw_large_scale, draw_noise
 from .golden import encode, slot_maps, system_gram, system_matched
-from .linalg import FlopCounter, convergence_margins
+from .linalg import convergence_margins
 from .metrics import (
     _NOISE_TERMS,
     NOISE_SNR_SCALED,
@@ -307,8 +307,8 @@ class ScenarioConfig:
             problems.append(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             problems.append(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.noise_scale < 0:
-            problems.append(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < np.inf:
+            problems.append(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.margin_trials < 1:
             problems.append(f"margin_trials must be >= 1, got {self.margin_trials}")
         if self.noise_term not in _NOISE_TERMS:
@@ -316,14 +316,18 @@ class ScenarioConfig:
         if kind == "ber":
             if not self.snr_grid_db:
                 problems.append("snr_grid_db must be non-empty for a BER sweep")
+            if not np.isfinite(self.snr_grid_db).all():
+                problems.append(f"snr_grid_db entries must be finite, got {self.snr_grid_db}")
             violation = self._rank_violation(self.M)
             if violation:
                 problems.append(violation)
         elif kind == "se":
             if not self.m_grid:
                 problems.append("m_grid must be non-empty for an SE sweep")
-            if self.rho_fixed <= 0:
-                problems.append(f"rho_fixed must be positive, got {self.rho_fixed}")
+            if any(m < 1 for m in self.m_grid):
+                problems.append(f"m_grid entries must be >= 1, got {self.m_grid}")
+            if not 0 < self.rho_fixed < np.inf:
+                problems.append(f"rho_fixed must be finite and positive, got {self.rho_fixed}")
             for m in self.m_grid:
                 violation = self._rank_violation(m)
                 if violation:
@@ -469,7 +473,7 @@ def _block(
     points: tuple[tuple[int, float], ...],
     trials: range,
     streams: Iterator[np.random.Generator],
-    pieces: Sequence[tuple[list, list[float], FlopCounter]],
+    pieces: Sequence[tuple[list, list[float]]],
     ber: bool,
 ) -> None:
     """Decode a block of trials at every (m, rho) point as stacked Gram-domain arrays.
@@ -481,11 +485,11 @@ def _block(
     from the job's next ``streams``. With X = H^T as ``_fading`` cuts it,
     R = conj(X) X^T and H^H W = conj(X) W.
     R, H^H W and Z are formed once per distinct m and serve every point
-    with that m; so do the ZF inverse and margins, whose operation counts go
-    to each such point's counter. Each point's piece gets the per-trial
-    values to add up (one bit-error count for the whole block, or each
-    trial's SE summed over users) and each margin-sampled trial's margin
-    sum over the BSs.
+    with that m; so do the ZF inverse and margins. Each point's piece gets
+    the per-trial values to add up (one bit-error count for the whole
+    block, or each trial's SE summed over users) and each margin-sampled
+    trial's margin sum over the BSs. Operation counts are not tallied here:
+    a point's follow from the trial count (see ``_point_stats``).
     """
     dual = cfg.antennas_per_user == 2
     ms = list(dict.fromkeys(m for m, _ in points))
@@ -504,13 +508,13 @@ def _block(
     betas = np.stack(betas)
     sampled = [i for i, t in enumerate(trials) if t < cfg.margin_trials]
 
-    def inverse(Z: np.ndarray, counter: FlopCounter) -> tuple[np.ndarray, list[float]]:
+    def inverse(Z: np.ndarray) -> tuple[np.ndarray, list[float]]:
         margins = []
         if sampled:
             # one eigen-solve over the sampled (S, L, n, n) stack; each
             # trial's margins are then added in BS order
             margins = [sum(row) for row in convergence_margins(Z[sampled]).tolist()]
-        return cfg.inversion.invert(Z, counter), margins
+        return cfg.inversion.invert(Z), margins
 
     if ber:
         const = cfg.constellation
@@ -524,18 +528,15 @@ def _block(
         R_m = np.stack(R.pop(m))
         z_raw = system_gram(R_m, betas, maps)  # (trials, L, n, n)
         if cfg.decoder == "zf":
-            shared = FlopCounter()
-            zinv, margins = inverse(z_raw, shared)
+            zinv, margins = inverse(z_raw)
         if ber:
             R_sent, HhW_m = R_m @ sent, np.stack(HhW.pop(m))
-        for (point_m, rho), (values, point_margins, counter) in zip(points, pieces):
+        for (point_m, rho), (values, point_margins) in zip(points, pieces):
             if point_m != m:
                 continue
             rho_eff = rho if dual else 2.0 * rho
-            if cfg.decoder == "zf":
-                counter.merge(shared)
-            else:
-                zinv, margins = inverse(z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1]), counter)
+            if cfg.decoder == "mmse":
+                zinv, margins = inverse(z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1]))
             point_margins.extend(margins)
             if not ber:
                 ag = zinv @ z_raw  # A G per BS
@@ -559,15 +560,15 @@ def _block(
 
 def _chunk(
     cfg: ScenarioConfig, points: tuple[tuple[int, float], ...], lo: int, hi: int, ber: bool
-) -> list[tuple[list, list[float], FlopCounter]]:
-    """Trials lo..hi-1 at every (m, rho) point: each point's per-trial values,
-    sampled trials' margins and operation counts, unsummed and in trial order.
+) -> list[tuple[list, list[float]]]:
+    """Trials lo..hi-1 at every (m, rho) point: each point's per-trial values
+    and sampled trials' margins, unsummed and in trial order.
 
     The job's stream states are derived once; its blocks draw from them in turn."""
     maps = slot_maps(cfg.K, cfg.antennas_per_user)
     n = maps.shape[-1]
     block = max(1, BLOCK_ELEMENTS // (cfg.L * n * n))
-    pieces = [([], [], FlopCounter()) for _ in points]
+    pieces = [([], []) for _ in points]
     streams = _streams(cfg.master_seed, range(lo, hi), _stream_fields(cfg, ber))
     for start in range(lo, hi, block):
         _block(cfg, maps, points, range(start, min(start + block, hi)), streams, pieces, ber)
@@ -582,29 +583,30 @@ def _se_chunk(cfg: ScenarioConfig, ms: tuple[int, ...], lo: int, hi: int) -> lis
     return _chunk(cfg, tuple((m, cfg.rho_fixed) for m in ms), lo, hi, ber=False)
 
 
-def _fold(cfg: ScenarioConfig, pieces: Sequence[tuple[list, list[float], FlopCounter]]) -> dict:
+def _fold(cfg: ScenarioConfig, pieces: Sequence[tuple[list, list[float]]]) -> dict:
     """One point's partial over a trial window: its pieces added in trial order."""
     part = {"total": 0, "margin_sum": 0.0, "margin_count": 0}
-    ops = FlopCounter()
-    for values, margins, counter in pieces:
+    for values, margins in pieces:
         for value in values:
             part["total"] += value
         for margin in margins:
             part["margin_sum"] += margin
         part["margin_count"] += cfg.L * len(margins)
-        ops.merge(counter)
-    part.update(mults=ops.complex_mults, divs=ops.complex_divs, adds=ops.complex_adds)
     return part
 
 
-def _point_stats(partials: list[dict]) -> dict:
+def _point_stats(cfg: ScenarioConfig, partials: list[dict]) -> dict:
+    """A point's margin mean, and its operation counts: every trial inverts
+    L Grams of order n = 4K (dual-antenna users) or K."""
     count = sum(p["margin_count"] for p in partials)
     total = sum(p["margin_sum"] for p in partials)
+    n = cfg.K * (4 if cfg.antennas_per_user == 2 else 1)
+    mults, divs, adds = (cfg.trials * cfg.L * c for c in cfg.inversion.ops(n))
     return {
         "conv_margin_mean": total / count if count else float("nan"),
-        "complex_mults": sum(p["mults"] for p in partials),
-        "complex_divs": sum(p["divs"] for p in partials),
-        "complex_adds": sum(p["adds"] for p in partials),
+        "complex_mults": mults,
+        "complex_divs": divs,
+        "complex_adds": adds,
     }
 
 
@@ -612,13 +614,13 @@ def _ber_point(cfg: ScenarioConfig, snr_db: float, partials: list[dict]) -> BerP
     estimate = BerEstimate.from_counts(
         sum(p["total"] for p in partials), cfg.trials * cfg.bits_per_trial()
     )
-    return BerPoint(snr_db=snr_db, estimate=estimate, **_point_stats(partials))
+    return BerPoint(snr_db=snr_db, estimate=estimate, **_point_stats(cfg, partials))
 
 
 def _se_point(cfg: ScenarioConfig, m: int, partials: list[dict]) -> SePoint:
     se_sum = sum(p["total"] for p in partials) / cfg.trials
     return SePoint(
-        m=m, se_mean_per_user=se_sum / cfg.K, se_sum=se_sum, **_point_stats(partials)
+        m=m, se_mean_per_user=se_sum / cfg.K, se_sum=se_sum, **_point_stats(cfg, partials)
     )
 
 

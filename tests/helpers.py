@@ -1,5 +1,7 @@
 """Shared fixtures-in-spirit: seeded system draws and loop-level oracles."""
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
 
@@ -8,7 +10,6 @@ from cfstbc import (
     NOISE_UNIT,
     ChannelRealization,
     DegenerateSinrError,
-    FlopCounter,
     SingularMatrixError,
     convergence_margin,
     cpu_combine,
@@ -18,7 +19,10 @@ from cfstbc import (
     draw_small_scale,
     encode,
     equivalent_channel,
+    exact_inverse,
     mmse_matrix,
+    neumann_inverse,
+    neumann_r2,
     per_bs_soft,
     received_block,
     sinr_from_products,
@@ -139,6 +143,74 @@ def oracle_exact_inverse(Z: np.ndarray) -> np.ndarray:
     return np.stack(out).reshape(Z.shape)
 
 
+# The counting inversions as they stood when ``cfstbc.linalg`` tallied its
+# operations while it ran, frozen as the oracle for ``Inversion.ops``: each
+# adds to its counter exactly what its ``linalg`` namesake added, summed
+# over the matrices of the stack, and returns that namesake's result.
+
+
+@dataclass
+class FlopCounter:
+    """Complex-operation tally; counts only grow."""
+
+    complex_mults: int = 0
+    complex_divs: int = 0
+    complex_adds: int = 0
+
+    def add(self, mults: int = 0, divs: int = 0, adds: int = 0) -> None:
+        if mults < 0 or divs < 0 or adds < 0:
+            raise ValueError("flop counts are non-decreasing")
+        self.complex_mults += mults
+        self.complex_divs += divs
+        self.complex_adds += adds
+
+
+def _stack_size(Z) -> tuple[int, int]:
+    """The number of matrices in a (..., n, n) stack, and n."""
+    shape = np.shape(Z)
+    return int(np.prod(shape[:-2])), shape[-1]
+
+
+def counted_exact_inverse(Z, counter: FlopCounter) -> np.ndarray:
+    """The textbook dense Cholesky inverse's counts."""
+    count, n = _stack_size(Z)
+    Zinv = exact_inverse(Z)
+    counter.add(
+        mults=count * ((n**3 - n) // 6 + n**2 * (n - 1)),
+        divs=count * (n * (n - 1) // 2 + 2 * n**2),
+        adds=count * ((n**3 - n) // 6 + n**2 * (n - 1)),
+    )
+    return Zinv
+
+
+def counted_neumann_inverse(Z, R: int, counter: FlopCounter) -> np.ndarray:
+    """The generic series: n divides for D^-1, n(n-1) multiplies to scale E,
+    and a dense product plus a matrix add per extra term."""
+    count, n = _stack_size(Z)
+    result = neumann_inverse(Z, R)
+    counter.add(divs=count * n, mults=count * n * (n - 1))
+    for _ in range(1, R):
+        counter.add(mults=count * n**3, adds=count * (n**2 * (n - 1) + n**2))
+    return result
+
+
+def counted_neumann_r2(Z, counter: FlopCounter) -> np.ndarray:
+    """The two-scaling form: n divides and 2n(n-1) multiplies."""
+    count, n = _stack_size(Z)
+    out = neumann_r2(Z)
+    counter.add(divs=count * n, mults=count * 2 * n * (n - 1))
+    return out
+
+
+def counted_invert(inversion, Z, counter: FlopCounter) -> np.ndarray:
+    """``inversion.invert(Z)``, dispatched as it was when it took a counter."""
+    if inversion.method == "exact":
+        return counted_exact_inverse(Z, counter)
+    if inversion.order == 2:
+        return counted_neumann_r2(Z, counter)
+    return counted_neumann_inverse(Z, inversion.order, counter)
+
+
 def random_hpd(n: int, seed: int, spread: float = 1.0) -> np.ndarray:
     """Random Hermitian positive definite matrix with moderate conditioning."""
     rng = seeded_rng(seed)
@@ -154,8 +226,11 @@ def random_hpd(n: int, seed: int, spread: float = 1.0) -> np.ndarray:
 
 def _build_decoder(cfg: ScenarioConfig, G, rho: float, counter: FlopCounter):
     if cfg.decoder == "zf":
-        return zf_matrix(G, cfg.inversion, counter)
-    return mmse_matrix(G, rho, cfg.inversion, counter)
+        dec = zf_matrix(G, cfg.inversion)
+    else:
+        dec = mmse_matrix(G, rho, cfg.inversion)
+    counted_invert(cfg.inversion, dec.gram, counter)  # for its counts only
+    return dec
 
 
 def oracle_dual_trial(cfg, rho, trial, counter, want_margin):
@@ -352,7 +427,7 @@ def _oracle_block(
     Z = z_raw
     if cfg.decoder == "mmse":
         Z = z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1])
-    zinv = cfg.inversion.invert(Z, counter)
+    zinv = counted_invert(cfg.inversion, Z, counter)
     margins = [
         sum(convergence_margin(z) for z in Z[i])
         for i, t in enumerate(trials)

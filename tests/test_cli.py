@@ -27,10 +27,15 @@ class TestGridParsing:
     def test_single_value(self):
         assert _parse_grid("7", int) == (7,)
 
-    @pytest.mark.parametrize("bad", ["1:2", "1:0:5", "5:1:1", "a,b"])
+    @pytest.mark.parametrize("bad", ["1:2", "1:0:5", "5:1:1", "a,b", "0:1:inf", "nan:1:5"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             _parse_grid(bad, float)
+
+    @pytest.mark.parametrize("bad", ["50.7,100", "50:25.5:150", "nan", "inf", "1e400"])
+    def test_int_grid_takes_whole_numbers(self, bad):
+        with pytest.raises(ValueError, match="whole numbers"):
+            _parse_grid(bad, int)
 
 
 class TestParseAndValidate:
@@ -190,6 +195,35 @@ class TestExitCodes:
         rc = main(command.split() + ["--noise-term", "bogus", "--quiet", "--out", str(out)])
         assert rc == 2
         assert "config error: noise_term" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            ("ber --snr-db nan", "snr_grid_db"),
+            ("ber --snr-db inf", "snr_grid_db"),
+            ("ber --snr-db 0 --noise-scale nan", "noise_scale"),
+            ("se --M-grid 8 --noise-term unit --rho nan", "rho_fixed"),
+            ("se --M-grid 8 --noise-term unit --rho inf", "rho_fixed"),
+            ("se --decoder mmse --M-grid 0,8", "m_grid"),
+            ("se --M-grid=-8,8", "m_grid"),
+            ("se --M-grid 8.7,16", "grid '8.7,16'"),
+        ],
+    )
+    def test_bad_number_is_a_config_error(self, command, name, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        argv = command.split() + ["--K", "1", "--L", "1", "--trials", "2", "--quiet"]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        assert f"config error: {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_grid_in_config_file_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "se.cfg"
+        config.write_text("K = 1\nL = 1\nm_grid = 8.7,16\n", encoding="utf-8")
+        out = tmp_path / "never.csv"
+        assert main(["se", "--config", str(config), "--quiet", "--out", str(out)]) == 2
+        assert "whole numbers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_io_error_is_4(self, tmp_path, capsys):

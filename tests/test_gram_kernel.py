@@ -1,5 +1,6 @@
 """Gram-domain chunk kernel against the stacked-system oracles in helpers."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfstbc import (
-    FlopCounter,
     Inversion,
     ScenarioConfig,
     draw_large_scale,
@@ -24,6 +24,7 @@ from cfstbc import (
 from cfstbc import simulate
 from cfstbc.simulate import PURPOSES, _fold, draw_trial
 from helpers import (
+    FlopCounter,
     oracle_chunk,
     oracle_dual_trial,
     oracle_se_trial,
@@ -112,8 +113,11 @@ def _ops(chunk):
 
 
 def _chunk(cfg, points, lo, hi, ber):
-    """Each (m, rho) point's partial over trials lo..hi-1, as a sweep folds a one-job window."""
-    return [_fold(cfg, [piece]) for piece in simulate._chunk(cfg, points, lo, hi, ber)]
+    """Each (m, rho) point's partial over trials lo..hi-1, as a sweep folds a
+    one-job window, with the operation counts a sweep gives that many trials."""
+    stats = simulate._point_stats(dataclasses.replace(cfg, trials=hi - lo), [])
+    ops = {k: stats[f"complex_{k}"] for k in ("mults", "divs", "adds")}
+    return [dict(_fold(cfg, [piece]), **ops) for piece in simulate._chunk(cfg, points, lo, hi, ber)]
 
 
 @pytest.mark.parametrize("decoder,inversion,antennas", CASES)
@@ -183,10 +187,10 @@ def test_blocks_do_not_change_a_chunk(monkeypatch, decoder, inversion, antennas,
         assert value == sum(c[name] for c in singles), name
     # a float total can absorb a last-bit change; the per-trial values cannot
     maps = slot_maps(cfg.K, antennas)
-    piece = ([], [], FlopCounter())
+    piece = ([], [])
     streams = simulate._streams(cfg.master_seed, range(256), simulate._stream_fields(cfg, ber))
     simulate._block(cfg, maps, [point], range(256), streams, [piece], ber)  # one 256-trial block
-    values, margins, _ = piece
+    values, margins = piece
     if not ber:
         assert values == [c["total"] for c in singles]
     assert margins == [c["margin_sum"] for c in singles[: cfg.margin_trials]]
@@ -317,9 +321,9 @@ def test_draw_trial_reads_the_keyed_streams(antennas):
 
 def _hexed_piece(piece, ber):
     """A piece with its floats as hex; BER values are per block, so their sum."""
-    values, margins, counter = piece
+    values, margins = piece
     values = [sum(values)] if ber else [v.hex() for v in values]
-    return values, [v.hex() for v in margins], counter
+    return values, [v.hex() for v in margins]
 
 
 @pytest.mark.parametrize("ber", [True, False], ids=["ber", "se"])
@@ -346,7 +350,7 @@ def test_streams_are_set_up_once_per_job(monkeypatch, ber):
     blocked = simulate._chunk(cfg, points, 0, 16, ber)
     assert len(calls) == 1
     assert list(calls[0][1]) == list(range(16))
-    assert all(sum(values) > 0 for values, _, _ in blocked), "nothing to compare"
+    assert all(sum(values) > 0 for values, _ in blocked), "nothing to compare"
     n = slot_maps(cfg.K, 2).shape[-1]
     for trials in (1, 2, 3):
         monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", trials * cfg.L * n * n)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cfstbc import (
     DegenerateSplitError,
-    FlopCounter,
+    Inversion,
     SingularMatrixError,
     convergence_margin,
     convergence_margins,
@@ -16,7 +16,9 @@ from cfstbc import (
     split_diag,
 )
 from helpers import (
+    FlopCounter,
     counted_cholesky_inverse,
+    counted_invert,
     draw_system,
     gram_loop,
     oracle_exact_inverse,
@@ -149,13 +151,9 @@ class TestExactInverse:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_flop_formula_matches_instrumented_oracle(self, n):
         Z = random_hpd(n, seed=n)
-        counter = FlopCounter()
-        Zinv = exact_inverse(Z, counter)
         oracle_inv, mults, divs, adds = counted_cholesky_inverse(Z)
-        np.testing.assert_allclose(Zinv, oracle_inv, atol=1e-12)
-        assert counter.complex_mults == mults
-        assert counter.complex_divs == divs
-        assert counter.complex_adds == adds
+        np.testing.assert_allclose(exact_inverse(Z), oracle_inv, atol=1e-12)
+        assert Inversion.exact().ops(n) == (mults, divs, adds)
 
 
 class TestSplitDiag:
@@ -303,7 +301,7 @@ class TestSeriesConvergenceRate:
 INVERTERS = {
     "exact": exact_inverse,
     "neumann_r2": neumann_r2,
-    "neumann_inverse_3": lambda Z, counter=None: neumann_inverse(Z, 3, counter),
+    "neumann_inverse_3": lambda Z: neumann_inverse(Z, 3),
 }
 
 
@@ -325,13 +323,11 @@ class TestStackedInversion:
         Z = _hpd_stack(n, seed, count, spread) + loading * np.eye(n)
         Z = Z.reshape(*lead, n, n)
         for name, invert in INVERTERS.items():
-            stacked, single = FlopCounter(), FlopCounter()
-            out = invert(Z, stacked)
-            want = np.stack([invert(z, single) for z in Z.reshape(-1, n, n)])
+            out = invert(Z)
+            want = np.stack([invert(z) for z in Z.reshape(-1, n, n)])
             assert out.shape == Z.shape, name
             scale = np.abs(want).max()
             assert np.abs(out.reshape(-1, n, n) - want).max() <= 1e-12 * scale, name
-            assert stacked == single, name
 
     @pytest.mark.parametrize("index", [0, 2])
     @pytest.mark.parametrize(
@@ -389,21 +385,18 @@ class TestStackedInversion:
 class TestFlopOrdering:
     @pytest.mark.parametrize("n", [16, 24, 40])
     def test_r2_cheaper_than_exact(self, n):
-        Z = random_hpd(n, seed=n)
-        fast, slow = FlopCounter(), FlopCounter()
-        neumann_r2(Z, fast)
-        exact_inverse(Z, slow)
-        assert fast.complex_mults < slow.complex_mults
+        assert Inversion.neumann(2).ops(n)[0] < Inversion.exact().ops(n)[0]
 
-    def test_counter_merge_and_guard(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        spec=st.sampled_from(["exact", "neumann:1", "neumann:2", "neumann:3", "neumann:4"]),
+        lead=st.sampled_from([(1,), (3,), (2, 3)]),
+    )
+    def test_closed_form_matches_the_counting_inversions(self, n, spec, lead):
+        inversion = Inversion.parse(spec)
+        count = int(np.prod(lead))
+        Z = _hpd_stack(n, n, count).reshape(*lead, n, n)
         counter = FlopCounter()
-        counter.add(mults=3, divs=1)
-        other = FlopCounter(complex_mults=2, complex_adds=5)
-        counter.merge(other)
-        assert (counter.complex_mults, counter.complex_divs, counter.complex_adds) == (
-            5,
-            1,
-            5,
-        )
-        with pytest.raises(ValueError):
-            counter.add(mults=-1)
+        counted_invert(inversion, Z, counter)
+        assert counter == FlopCounter(*(count * c for c in inversion.ops(n)))

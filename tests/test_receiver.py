@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from cfstbc import (
     BPSK,
     QAM4,
-    FlopCounter,
     Inversion,
     cpu_combine,
     detect,
+    gram,
     mmse_matrix,
+    neumann_r2,
     per_bs_soft,
     zf_matrix,
 )
@@ -98,13 +99,12 @@ class TestZfMatrix:
         dec = zf_matrix(G, Inversion.neumann(2))
         np.testing.assert_allclose(dec.gains, np.diagonal(dec.A @ G), atol=1e-12)
 
-    def test_counter_forwarded_to_inverter(self):
+    def test_selected_inverter_and_its_cost(self):
         G = draw_system(M=32, K=2, seed=4)
-        counter = FlopCounter()
-        zf_matrix(G, Inversion.neumann(2), counter)
+        dec = zf_matrix(G, Inversion.neumann(2))
+        np.testing.assert_array_equal(dec.A, neumann_r2(gram(G)) @ G.conj().T)
         n = G.shape[1]
-        assert counter.complex_divs == n
-        assert counter.complex_mults == 2 * n * (n - 1)
+        assert Inversion.neumann(2).ops(n) == (2 * n * (n - 1), n, 0)
 
 
 class TestMmseMatrix:

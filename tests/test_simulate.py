@@ -141,6 +141,26 @@ class TestConfigValidation:
         cfg = ScenarioConfig(K=10, m_grid=(10, 50), rho_fixed=10.0)
         assert any("2M >= 4K" in p for p in cfg.validate("se"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        cases = [
+            ("ber", "snr_grid_db", ScenarioConfig(snr_grid_db=(0.0, bad))),
+            ("ber", "noise_scale", ScenarioConfig(snr_grid_db=(0.0,), noise_scale=bad)),
+            ("se", "rho_fixed", ScenarioConfig(m_grid=(64,), rho_fixed=bad)),
+        ]
+        for kind, name, cfg in cases:
+            problems = cfg.validate(kind)
+            assert len(problems) == 1 and problems[0].startswith(f"{name} "), problems
+            assert "finite" in problems[0]
+
+    @pytest.mark.parametrize("decoder", ["zf", "mmse"])
+    @pytest.mark.parametrize("m", [0, -50])
+    def test_se_grid_entries_at_least_one(self, decoder, m):
+        cfg = ScenarioConfig(K=2, decoder=decoder, m_grid=(m, 50))
+        assert f"m_grid entries must be >= 1, got ({m}, 50)" in cfg.validate("se")
+        with pytest.raises(ConfigError):
+            run_se_sweep(cfg)
+
     def test_sweep_raises_before_running(self):
         cfg = ScenarioConfig(M=4, K=10, snr_grid_db=(0.0,))
         with pytest.raises(ConfigError) as err:
@@ -166,6 +186,15 @@ class TestConfigValidation:
         cfg = ScenarioConfig(K=4, modulation="bpsk")  # 16 bits per block
         assert trials_for_bits(cfg, 100_000) == 6250
         assert trials_for_bits(cfg, 1) == 1
+
+
+# (decoder, inversion, antennas per user, Gram order n at K = 2)
+OPS_CASES = [
+    ("zf", "exact", 2, 8),
+    ("mmse", "neumann:2", 2, 8),
+    ("zf", "neumann:3", 1, 2),
+    ("mmse", "exact", 1, 2),
+]
 
 
 class TestBerSweep:
@@ -216,11 +245,18 @@ class TestBerSweep:
                 assert tuple(seen) == result.points == tuple(alone), (chunk, workers)
 
     def test_flops_and_margins_recorded(self):
-        cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=10, margin_trials=4)
-        point = run_ber_sweep(cfg).points[0]
-        assert point.complex_mults > 0
-        assert point.complex_divs > 0
-        assert np.isfinite(point.conv_margin_mean)
+        # each trial inverts L Grams of order n = 4K (dual-antenna users) or K
+        for decoder, inversion, antennas, n in OPS_CASES:
+            cfg = ScenarioConfig(
+                L=2, M=16, K=2, decoder=decoder, inversion=Inversion.parse(inversion),
+                antennas_per_user=antennas, snr_grid_db=(0.0, 6.0), trials=10,
+                margin_trials=4,
+            )
+            want = tuple(cfg.trials * cfg.L * c for c in cfg.inversion.ops(n))
+            for workers in (1, 2):
+                for point in run_ber_sweep(cfg, workers=workers).points:
+                    assert (point.complex_mults, point.complex_divs, point.complex_adds) == want
+                    assert np.isfinite(point.conv_margin_mean)
 
     def test_neumann_runs_and_counts_less(self):
         base = dict(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=10, margin_trials=1)
@@ -282,6 +318,17 @@ class TestSeSweep:
         cfg = ScenarioConfig(K=10, m_grid=(), rho_fixed=10.0)
         with pytest.raises(ConfigError):
             run_se_sweep(cfg)
+
+    def test_flops_recorded(self):
+        for decoder, inversion, antennas, n in OPS_CASES:
+            cfg = ScenarioConfig(
+                L=2, K=2, decoder=decoder, inversion=Inversion.parse(inversion),
+                antennas_per_user=antennas, m_grid=(16, 8, 16), trials=10,
+            )
+            want = tuple(cfg.trials * cfg.L * c for c in cfg.inversion.ops(n))
+            for workers in (1, 2):
+                for point in run_se_sweep(cfg, workers=workers).points:
+                    assert (point.complex_mults, point.complex_divs, point.complex_adds) == want
 
     @pytest.mark.parametrize("noise_term", [NOISE_SNR_SCALED, NOISE_UNIT])
     def test_exact_zf_matches_the_gamma_oracle(self, noise_term):
