@@ -22,29 +22,23 @@ from .channel import (
     draw_large_scale,
     draw_noise,
     draw_small_scale,
-    received_block,
 )
 from .golden import (
     GoldenParams,
     encode,
     equivalent_channel,
     golden_params,
-    large_m_diagnostic,
     slot_maps,
-    stack_system,
     system_gram,
     system_matched,
-    vec,
     verify_exchangeability,
 )
 from .linalg import (
     DegenerateSplitError,
     NeumannSplit,
     SingularMatrixError,
-    convergence_margin,
     convergence_margins,
     exact_inverse,
-    gram,
     neumann_inverse,
     neumann_r2,
     split_diag,
@@ -54,11 +48,7 @@ from .metrics import (
     NOISE_UNIT,
     BerEstimate,
     DegenerateSinrError,
-    SinrReport,
-    ber_accumulate,
     sinr_from_products,
-    sinr_profile,
-    sinr_streams,
     spectral_efficiency,
 )
 from .receiver import (
@@ -68,11 +58,7 @@ from .receiver import (
     Constellation,
     DecoderMatrix,
     Inversion,
-    cpu_combine,
     detect,
-    mmse_matrix,
-    per_bs_soft,
-    zf_matrix,
 )
 from .simulate import (
     BerPoint,

@@ -8,6 +8,8 @@ variance per entry. All draws consume a caller-supplied
 parallel-safe. ``simulate`` hands each draw numpy's SeedSequence->PCG64
 stream of its own key, with the states of a whole job of trials derived
 at once (see ``simulate.trial_rng`` and ``simulate.stream_states``).
+No received block Y is formed: the simulator decodes from the fading
+products H^H H and H^H W.
 """
 
 from __future__ import annotations
@@ -111,41 +113,3 @@ def draw_noise(M: int, T: int, rng: np.random.Generator) -> np.ndarray:
     if M < 1 or T < 1:
         raise ValueError(f"need M >= 1 and T >= 1, got M={M}, T={T}")
     return draw_small_scale(M, T, rng)
-
-
-def received_block(
-    channels: ChannelRealization,
-    codes: np.ndarray,
-    rho: float,
-    noise: np.ndarray,
-    l: int,
-) -> np.ndarray:
-    """Received (M, T) block at BS l for per-user code blocks.
-
-    Y_l = sum_k sqrt(rho/2) * beta_lk * H_lk @ X_k + W_l. ``codes`` stacks
-    the per-user transmit blocks as (K, J, T).
-    """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0 <= l < channels.num_bs:
-        raise ValueError(f"BS index {l} out of range for L={channels.num_bs}")
-    codes = np.asarray(codes, dtype=complex)
-    K = channels.num_users
-    J = channels.antennas_per_user
-    if codes.shape[:2] != (K, J):
-        raise ValueError(
-            f"codes must have shape (K={K}, J={J}, T), got {codes.shape}"
-        )
-    noise = np.asarray(noise, dtype=complex)
-    if noise.shape != (channels.num_bs_antennas, codes.shape[2]):
-        raise ValueError(
-            f"noise shape {noise.shape} does not match "
-            f"(M={channels.num_bs_antennas}, T={codes.shape[2]})"
-        )
-    # sum_k beta_k H_k X_k as one (M, KJ) @ (KJ, T) product
-    M = channels.num_bs_antennas
-    h_flat = channels.h[l].transpose(1, 0, 2).reshape(M, K * J)
-    codes_scaled = (channels.profile.betas[l][:, None, None] * codes).reshape(
-        K * J, codes.shape[2]
-    )
-    return np.sqrt(rho / 2.0) * (h_flat @ codes_scaled) + noise

@@ -19,13 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .golden import equivalent_channel, golden_params, stack_system, verify_exchangeability
-from .linalg import (
-    DegenerateSplitError,
-    SingularMatrixError,
-    convergence_margin,
-    gram,
-)
+from .golden import golden_params, slot_maps, system_gram, verify_exchangeability
+from .linalg import DegenerateSplitError, SingularMatrixError, convergence_margins
 from .metrics import NOISE_SNR_SCALED, NOISE_UNIT, DegenerateSinrError
 from .receiver import Inversion
 from .simulate import (
@@ -402,6 +397,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_diag(args: argparse.Namespace) -> int:
+    cfg = ScenarioConfig(L=1, M=args.M, K=args.K, master_seed=args.seed)
+    problems = cfg.validate("diag")
+    if problems:
+        raise ConfigError(problems)
     params = golden_params()
     if args.inject_bad_params:
         params = replace(params, b=params.b + 0.1)
@@ -412,7 +411,6 @@ def _run_diag(args: argparse.Namespace) -> int:
     checks.append(("row-energy p = |a|^2+|c|^2", p_val, abs(p_val - 1.0) < 1e-12))
     checks.append(("row-energy s = |ab|^2+|cd|^2", s_val, abs(s_val - 1.0) < 1e-12))
 
-    cfg = ScenarioConfig(L=1, M=args.M, K=args.K, master_seed=args.seed)
     draws = draw_trial(cfg, args.M, trial=0, ber=False)
     rng = trial_rng(args.seed, 0, 0, 0, "bits")
     channels = draws.channels
@@ -427,8 +425,10 @@ def _run_diag(args: argparse.Namespace) -> int:
         ("equivalent-channel residual", residual, residual < 1e-12 * args.M)
     )
 
-    G = stack_system(equivalent_channel(channels.h[0]), channels.profile.betas[0])
-    margin = convergence_margin(gram(G))
+    # the sweep kernel's margin: R = conj(X) X^T, X = H^T laid out as ``simulate._fading`` does
+    X = channels.h.swapaxes(2, 3).reshape(1, 2 * args.K, args.M)
+    Z = system_gram(X.conj() @ X.swapaxes(1, 2), channels.profile.betas, slot_maps(args.K, 2))
+    margin = float(convergence_margins(Z)[0])
     checks.append(("series convergence margin", margin, margin < 1.0))
 
     ok = True

@@ -4,11 +4,11 @@ The Golden code maps 4 symbols onto a 2x2 block sent from two antennas
 over two slots. Its linear-dispersion structure lets the per-user model
 Y = H X + W be rewritten as vec(Y) = Htilde x + vec(W), with vec stacking
 columns (slot 1 above slot 2) and Htilde absorbing both the fading and the
-code coefficients. Stacking scaled per-user blocks side by side yields the
-full receive matrix G the linear decoders operate on.
+code coefficients. Stacking the beta-scaled per-user blocks side by side
+would give the full receive matrix G of one BS.
 
 Because the rewrite is linear with fixed per-slot coefficients, the
-decoders' inputs G^H G and G^H vec(Y) also follow from the small fading
+decoders' inputs G^H G and G^H vec(Y) follow from the small fading
 products H^H H and H^H Y (:func:`system_gram`, :func:`system_matched`);
 the simulator works in that Gram domain and never forms G.
 """
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import draw_small_scale
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,6 @@ def encode(x: np.ndarray, params: GoldenParams = _DEFAULT) -> np.ndarray:
     return np.stack([row1, row2], axis=-2)
 
 
-def vec(Y: np.ndarray) -> np.ndarray:
-    """Column-major stacking of a matrix into a vector (slot 1 above slot 2)."""
-    Y = np.asarray(Y)
-    if Y.ndim != 2:
-        raise ValueError(f"vec expects a 2-D block, got shape {Y.shape}")
-    return Y.reshape(-1, order="F")
-
-
 def equivalent_channel(H: np.ndarray, params: GoldenParams = _DEFAULT) -> np.ndarray:
     """Per-user equivalent channel, (..., M, 2) -> (..., 2M, 4).
 
@@ -89,25 +79,6 @@ def equivalent_channel(H: np.ndarray, params: GoldenParams = _DEFAULT) -> np.nda
     top = np.stack([a * h1, a * b * h1, c * h2, c * d * h2], axis=-1)
     bottom = np.stack([c * h2, c * d * h2, g * a * h1, g * a * b * h1], axis=-1)
     return np.concatenate([top, bottom], axis=-2)
-
-
-def stack_system(h_tildes: np.ndarray, betas_row: np.ndarray) -> np.ndarray:
-    """Stack beta-scaled per-user blocks side by side, (K, 2M, 4) -> (2M, 4K).
-
-    Columns 4(k-1)..4k-1 of the result belong to user k.
-    """
-    h_tildes = np.asarray(h_tildes, dtype=complex)
-    betas_row = np.asarray(betas_row, dtype=float)
-    if h_tildes.ndim != 3:
-        raise ValueError(f"expected (K, 2M, 4) blocks, got shape {h_tildes.shape}")
-    if betas_row.shape != (h_tildes.shape[0],):
-        raise ValueError(
-            f"betas_row must hold one gain per user, got {betas_row.shape} "
-            f"for K={h_tildes.shape[0]}"
-        )
-    scaled = betas_row[:, None, None] * h_tildes
-    K, rows, cols = scaled.shape
-    return scaled.transpose(1, 0, 2).reshape(rows, K * cols)
 
 
 def slot_maps(
@@ -152,24 +123,6 @@ def verify_exchangeability(
 ) -> float:
     """Residual of the rewrite identity, ||vec(H @ encode(x)) - Htilde @ x||."""
     H = np.asarray(H, dtype=complex)
-    direct = vec(H @ encode(x, params))
+    direct = (H @ encode(x, params)).reshape(-1, order="F")  # vec: slot 1 above slot 2
     rewritten = equivalent_channel(H, params) @ np.asarray(x, dtype=complex)
     return float(np.linalg.norm(direct - rewritten))
-
-
-def large_m_diagnostic(
-    M: int, rng: np.random.Generator, params: GoldenParams = _DEFAULT
-) -> tuple[float, float]:
-    """Empirical check that equivalent channels whiten as M grows.
-
-    Draws two independent user channels, returns the max deviation of
-    Htilde^H Htilde / M from the identity and the max magnitude of the
-    cross-user product Htilde1^H Htilde2 / M. Both shrink like 1/sqrt(M).
-    """
-    H1 = draw_small_scale(M, 2, rng)
-    H2 = draw_small_scale(M, 2, rng)
-    Ht1 = equivalent_channel(H1, params)
-    Ht2 = equivalent_channel(H2, params)
-    diag_error = np.max(np.abs(Ht1.conj().T @ Ht1 / M - np.eye(4)))
-    cross_error = np.max(np.abs(Ht1.conj().T @ Ht2 / M))
-    return float(diag_error), float(cross_error)

@@ -1,9 +1,8 @@
 """Dense complex linear algebra for linear MIMO decoding.
 
-Gram matrices, exact inversion of Hermitian positive definite matrices
-behind a Cholesky check, truncated Neumann-series approximate inversion,
-and the series' spectral convergence margin from one Hermitian
-eigen-solve.
+Exact inversion of Hermitian positive definite matrices behind a Cholesky
+check, truncated Neumann-series approximate inversion, and the series'
+spectral convergence margin from one Hermitian eigen-solve.
 
 Matrices are plain complex ndarrays. The inversion routines,
 :func:`split_diag` and :func:`convergence_margins` take a stack of shape
@@ -45,14 +44,17 @@ class DegenerateSplitError(ValueError):
 
 @dataclass(frozen=True)
 class NeumannSplit:
-    """Split Z = D + E with D the diagonal part and E the zero-diagonal rest."""
+    """Split Z = D + E with D the diagonal part and E the zero-diagonal rest.
 
-    D: np.ndarray
+    D is kept as its (..., n) diagonal; :attr:`D` builds the dense matrices.
+    """
+
+    diagonal: np.ndarray
     E: np.ndarray
 
     @property
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.D, axis1=-2, axis2=-1)
+    def D(self) -> np.ndarray:
+        return _with_diagonal(np.zeros_like(self.E), self.diagonal)
 
 
 def _square_stack(Z: np.ndarray) -> np.ndarray:
@@ -68,18 +70,6 @@ def _with_diagonal(A: np.ndarray, values: np.ndarray) -> np.ndarray:
     idx = np.arange(A.shape[-1])
     A[..., idx, idx] = values
     return A
-
-
-def gram(G: np.ndarray) -> np.ndarray:
-    """Return the Gram matrix G^H G of a tall matrix G."""
-    G = np.asarray(G)
-    if G.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={G.ndim}")
-    if G.shape[0] < G.shape[1]:
-        raise ValueError(
-            f"gram expects at least as many rows as columns, got {G.shape}"
-        )
-    return G.conj().T @ G
 
 
 def _first_bad_pivot(z: np.ndarray) -> int | None:
@@ -134,9 +124,7 @@ def split_diag(Z: np.ndarray) -> NeumannSplit:
     zero = np.argwhere(d == 0)
     if zero.size:
         raise DegenerateSplitError(index=int(zero[0, -1]))
-    return NeumannSplit(
-        D=_with_diagonal(np.zeros_like(Z), d), E=_with_diagonal(Z.copy(), 0.0)
-    )
+    return NeumannSplit(diagonal=d.copy(), E=_with_diagonal(Z.copy(), 0.0))
 
 
 def neumann_inverse(Z: np.ndarray, R: int) -> np.ndarray:
@@ -144,7 +132,7 @@ def neumann_inverse(Z: np.ndarray, R: int) -> np.ndarray:
 
     Evaluates sum_{r=0}^{R-1} (-D^{-1} E)^r D^{-1} for the diagonal split
     Z = D + E. R=1 returns D^{-1} exactly. Convergence is not checked here;
-    see :func:`convergence_margin` for the spectral-radius criterion.
+    see :func:`convergence_margins` for the spectral-radius criterion.
     """
     if R < 1:
         raise ValueError(f"series order must be >= 1, got {R}")
@@ -186,10 +174,3 @@ def convergence_margins(Z: np.ndarray) -> np.ndarray:
     s = 1.0 / np.sqrt(split.diagonal.real)
     S = s[..., :, None] * split.E * s[..., None, :]
     return np.max(np.abs(np.linalg.eigvalsh(S)), axis=-1)
-
-
-def convergence_margin(Z: np.ndarray) -> float:
-    """:func:`convergence_margins` of one matrix, as a float."""
-    if np.ndim(Z) != 2:
-        raise ValueError(f"expected one matrix, got shape {np.shape(Z)}")
-    return float(convergence_margins(Z))

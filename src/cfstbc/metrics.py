@@ -1,8 +1,9 @@
-"""Per-stream SINR, spectral-efficiency lower bound, and BER bookkeeping.
+"""Per-stream SINR, spectral-efficiency lower bound, and BER estimates.
 
 The SINR of symbol stream k(i) = 4(k-1) + i sums desired power, residual
 interference, and noise amplification across base stations, each BS taken
-separately. Two noise-scaling conventions are supported for the
+separately; :func:`sinr_from_products` takes each BS's A G and noise gains
+from the Gram domain. Two noise-scaling conventions are supported for the
 interference-plus-noise variance:
 
 * ``"snr-scaled"`` (default): the whole denominator, noise included, is
@@ -54,23 +55,6 @@ class BerEstimate:
         )
 
 
-@dataclass(frozen=True)
-class SinrReport:
-    """Per-stream SINRs, shape (K, 4), and the per-user SE lower bound (K,)."""
-
-    sinr: np.ndarray
-    se: np.ndarray
-
-
-def ber_accumulate(tx_bits: np.ndarray, rx_bits: np.ndarray) -> BerEstimate:
-    """Compare two bit streams of equal length."""
-    tx = np.asarray(tx_bits).reshape(-1)
-    rx = np.asarray(rx_bits).reshape(-1)
-    if tx.shape != rx.shape:
-        raise ValueError(f"bit streams differ in length: {tx.size} vs {rx.size}")
-    return BerEstimate.from_counts(int(np.count_nonzero(tx != rx)), tx.size)
-
-
 def spectral_efficiency(sinrs: Sequence[float]) -> float | np.ndarray:
     """Per-user SE lower bound, (1/2) sum_i log2(1 + SINR_i) over 4 streams.
 
@@ -118,34 +102,3 @@ def sinr_from_products(
     if np.any(denom == 0.0):
         raise DegenerateSinrError("zero interference-plus-noise power")
     return rho / 2.0 * desired / denom
-
-
-def sinr_streams(
-    a_mats: Sequence[np.ndarray],
-    g_mats: Sequence[np.ndarray],
-    rho: float,
-    noise_term: str = NOISE_SNR_SCALED,
-) -> np.ndarray:
-    """SINR of every stream at once, vectorized over the full A @ G products."""
-    return sinr_from_products(
-        [A @ G for A, G in zip(a_mats, g_mats)],
-        [np.sum(np.abs(A) ** 2, axis=1) for A in a_mats],
-        rho,
-        noise_term,
-    )
-
-
-def sinr_profile(
-    a_mats: Sequence[np.ndarray],
-    g_mats: Sequence[np.ndarray],
-    rho: float,
-    num_users: int,
-    noise_term: str = NOISE_SNR_SCALED,
-) -> SinrReport:
-    """All-stream SINRs grouped per user plus each user's SE lower bound."""
-    n = a_mats[0].shape[0]
-    if n != 4 * num_users:
-        raise ValueError(f"decoder has {n} streams, expected 4K = {4 * num_users}")
-    values = sinr_streams(a_mats, g_mats, rho, noise_term).reshape(num_users, 4)
-    se = spectral_efficiency(values)
-    return SinrReport(sinr=values, se=se)

@@ -1,10 +1,11 @@
-"""Linear decoding: ZF/MMSE matrix construction, soft combining, detection.
+"""Linear decoding: constellations, the Gram inversion choice, detection.
 
-Each base station applies its own decoder A_l to the vectorized receive
-block; the central unit sums the per-BS soft outputs and their effective
-symbol gains, then slices each combined entry against the constellation.
-The Gram-matrix inversion inside A_l is pluggable: exact Cholesky or a
-truncated Neumann series, each with its per-inverse operation count.
+Each base station's ZF or MMSE filter inverts its Gram matrix Z; the
+inversion is pluggable, exact Cholesky or a truncated Neumann series, each
+with its per-inverse operation count. The central unit sums the per-BS
+soft outputs and their effective symbol gains, then :func:`detect` slices
+each combined entry against the constellation. The simulator applies the
+filters in the Gram domain (see ``simulate._block``) and never forms them.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ class Inversion:
         return n * (n - 1) + terms * n**3, n, terms * n**3
 
 
+# perfbench/selftest.py imports this until the benchmark's repair (ROADMAP item 1).
 @dataclass(frozen=True)
 class DecoderMatrix:
     """Per-BS linear decoder with its provenance.
@@ -170,51 +172,6 @@ class DecoderMatrix:
     inversion: Inversion
     gram: np.ndarray
     gains: np.ndarray
-
-
-def zf_matrix(G: np.ndarray, inversion: Inversion) -> DecoderMatrix:
-    """Zero-forcing decoder A = inv(G^H G) G^H with the selected inverter."""
-    Z = linalg.gram(G)
-    Zinv = inversion.invert(Z)
-    A = Zinv @ G.conj().T
-    gains = np.sum(A.T * G, axis=0)  # diag(A @ G) without the full product
-    return DecoderMatrix(A=A, kind="zf", inversion=inversion, gram=Z, gains=gains)
-
-
-def mmse_matrix(G: np.ndarray, rho: float, inversion: Inversion) -> DecoderMatrix:
-    """MMSE decoder A = inv(G^H G + (2/rho) I) G^H with the selected inverter."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    Z = linalg.gram(G) + (2.0 / rho) * np.eye(G.shape[1])
-    Zinv = inversion.invert(Z)
-    A = Zinv @ G.conj().T
-    gains = np.sum(A.T * G, axis=0)  # diag(A @ G) without the full product
-    return DecoderMatrix(A=A, kind="mmse", inversion=inversion, gram=Z, gains=gains)
-
-
-def per_bs_soft(
-    decoder: DecoderMatrix, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soft symbol vector A @ y at one BS plus the effective symbol gains."""
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (decoder.A.shape[1],):
-        raise ValueError(
-            f"received vector has shape {y.shape}, decoder expects "
-            f"({decoder.A.shape[1]},)"
-        )
-    return decoder.A @ y, decoder.gains
-
-
-def cpu_combine(
-    soft: list[np.ndarray], gains: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum per-BS soft vectors and gains at the central unit."""
-    if len(soft) < 1 or len(soft) != len(gains):
-        raise ValueError("need one gain vector per soft vector, at least one BS")
-    shapes = {np.shape(s) for s in soft} | {np.shape(g) for g in gains}
-    if len(shapes) != 1:
-        raise ValueError(f"inconsistent vector lengths: {sorted(shapes)}")
-    return np.sum(soft, axis=0), np.sum(gains, axis=0)
 
 
 def detect(

@@ -286,8 +286,27 @@ class ScenarioConfig:
             return f"ZF with single-antenna users needs M >= K, got M={m}, K={self.K}"
         return None
 
+    def _rho_violation(self, name: str, values: Sequence[float], rhos: np.ndarray) -> str | None:
+        """The entries of ``values`` whose linear SNR in ``rhos``, as the kernel
+        scales it, is zero or not finite, or, under MMSE, whose loading 2/rho
+        is not finite. numpy overflows to inf and underflows to 0 where the
+        kernel's Python floats would raise."""
+        with np.errstate(over="ignore", divide="ignore"):
+            rho_eff = rhos * (1.0 if self.antennas_per_user == 2 else 2.0)
+            loading = 2.0 / rho_eff
+        ok = np.isfinite(rho_eff) & (rho_eff > 0)
+        if self.decoder == "mmse":
+            ok &= np.isfinite(loading)
+        if ok.all():
+            return None
+        bad = [v for v, good in zip(values, ok) if not good]
+        return f"{name} entries {bad} give a zero or non-finite rho or MMSE loading 2/rho"
+
     def validate(self, kind: str) -> list[str]:
-        """Collect every violation for a 'ber' or 'se' run (empty if valid)."""
+        """Collect every violation for a 'ber', 'se' or 'diag' run (empty if valid).
+
+        A diag run checks the common fields and the rank at M.
+        """
         problems = []
         for name in ("L", "M", "K"):
             if getattr(self, name) < 1:
@@ -318,9 +337,12 @@ class ScenarioConfig:
                 problems.append("snr_grid_db must be non-empty for a BER sweep")
             if not np.isfinite(self.snr_grid_db).all():
                 problems.append(f"snr_grid_db entries must be finite, got {self.snr_grid_db}")
-            violation = self._rank_violation(self.M)
-            if violation:
-                problems.append(violation)
+            else:
+                with np.errstate(over="ignore"):
+                    rhos = 10.0 ** (np.asarray(self.snr_grid_db, dtype=float) / 10.0)
+                violation = self._rho_violation("snr_grid_db", self.snr_grid_db, rhos)
+                if violation:
+                    problems.append(violation)
         elif kind == "se":
             if not self.m_grid:
                 problems.append("m_grid must be non-empty for an SE sweep")
@@ -328,13 +350,22 @@ class ScenarioConfig:
                 problems.append(f"m_grid entries must be >= 1, got {self.m_grid}")
             if not 0 < self.rho_fixed < np.inf:
                 problems.append(f"rho_fixed must be finite and positive, got {self.rho_fixed}")
+            else:
+                rho = (self.rho_fixed,)
+                violation = self._rho_violation("rho_fixed", rho, np.array(rho, dtype=float))
+                if violation:
+                    problems.append(violation)
             for m in self.m_grid:
                 violation = self._rank_violation(m)
                 if violation:
                     problems.append(violation)
                     break
-        else:
+        elif kind != "diag":
             problems.append(f"unknown run kind {kind!r}")
+        if kind in ("ber", "diag"):
+            violation = self._rank_violation(self.M)
+            if violation:
+                problems.append(violation)
         return problems
 
     def echo(self) -> dict[str, str]:

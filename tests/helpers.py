@@ -11,8 +11,6 @@ from cfstbc import (
     ChannelRealization,
     DegenerateSinrError,
     SingularMatrixError,
-    convergence_margin,
-    cpu_combine,
     detect,
     draw_large_scale,
     draw_noise,
@@ -20,23 +18,27 @@ from cfstbc import (
     encode,
     equivalent_channel,
     exact_inverse,
-    mmse_matrix,
     neumann_inverse,
     neumann_r2,
-    per_bs_soft,
-    received_block,
     sinr_from_products,
-    sinr_streams,
     slot_maps,
     spectral_efficiency,
-    stack_system,
     system_gram,
     system_matched,
-    vec,
-    zf_matrix,
 )
 from cfstbc import simulate
 from cfstbc.simulate import ScenarioConfig, TrialDraws, _stream_fields, _streams, draw_trial
+from reference import (
+    convergence_margin,
+    cpu_combine,
+    mmse_matrix,
+    per_bs_soft,
+    received_block,
+    sinr_streams,
+    stack_system,
+    vec,
+    zf_matrix,
+)
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -15,21 +15,19 @@ import pytest
 from cfstbc import (
     Inversion,
     ScenarioConfig,
-    convergence_margin,
     draw_small_scale,
     equivalent_channel,
     exact_inverse,
     golden_params,
-    gram,
     neumann_inverse,
     run_ber_sweep,
     run_se_sweep,
     trials_for_bits,
     verify_exchangeability,
-    zf_matrix,
 )
 from cfstbc.cli import main as cli_main
 from helpers import draw_system, interference_noise_variance, random_complex, seeded_rng
+from reference import convergence_margin, gram, zf_matrix
 
 WORKERS = 2
 

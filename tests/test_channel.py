@@ -7,9 +7,9 @@ from cfstbc import (
     draw_large_scale,
     draw_noise,
     draw_small_scale,
-    received_block,
 )
 from helpers import random_complex, seeded_rng
+from reference import received_block
 
 
 def received_block_loop(channels, codes, rho, noise, l):

@@ -2,7 +2,16 @@ import os
 
 import pytest
 
-from cfstbc import ConfigError, Inversion, ScenarioConfig, run_ber_sweep, run_se_sweep
+from cfstbc import (
+    ConfigError,
+    Inversion,
+    ScenarioConfig,
+    cli,
+    convergence_margins,
+    equivalent_channel,
+    run_ber_sweep,
+    run_se_sweep,
+)
 from cfstbc.cli import (
     _parse_grid,
     main,
@@ -10,6 +19,8 @@ from cfstbc.cli import (
     render_csv,
     write_results,
 )
+from cfstbc.simulate import draw_trial
+from reference import convergence_margin, gram, stack_system
 
 
 class TestGridParsing:
@@ -254,6 +265,60 @@ class TestExitCodes:
         assert main(["diag", "--M", "64", "--K", "4"]) == 0
         out = capsys.readouterr().out
         assert "series convergence margin" in out
+
+    @pytest.mark.parametrize(
+        "flags,name",
+        [
+            ("--M 0", "M"),
+            ("--K 0", "K"),
+            ("--M 2 --K 4", "ZF with dual-antenna users"),
+            ("--seed -1", "master_seed"),
+        ],
+    )
+    def test_diag_bad_input_is_a_config_error(self, flags, name, capsys):
+        assert main(["diag", *flags.split()]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {name} " in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "ber --snr-db 4000",
+            "ber --snr-db -4000",
+            "ber --snr-db -4000 --decoder mmse",
+            "ber --snr-db -3200 --decoder mmse",
+            "se --M-grid 8 --decoder mmse --rho 1e-320",
+            "se --M-grid 8 --user-antennas 1 --rho 1e308",
+        ],
+    )
+    def test_snr_outside_the_kernel_range_is_a_config_error(self, command, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        argv = command.split() + ["--K", "1", "--L", "1", "--trials", "2", "--quiet"]
+        assert main(argv + ["--out", str(out)]) == 2
+        name = "snr_grid_db" if command.startswith("ber") else "rho_fixed"
+        assert f"config error: {name} entries" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDiagMargin:
+    @pytest.mark.parametrize("M,K", [(64, 4), (16, 2), (8, 4)])
+    def test_matches_the_stacked_reference(self, M, K, monkeypatch):
+        # diag's margin comes from the Gram-domain Z; the reference forms G
+        seen = []
+
+        def recording(Z):
+            seen.append(convergence_margins(Z))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "convergence_margins", recording)
+        for seed in range(50):
+            assert main(["diag", "--M", str(M), "--K", str(K), "--seed", str(seed)]) in (0, 1)
+            cfg = ScenarioConfig(L=1, M=M, K=K, master_seed=seed)
+            channels = draw_trial(cfg, M, 0, ber=False).channels
+            G = stack_system(equivalent_channel(channels.h[0]), channels.profile.betas[0])
+            assert abs(float(seen[-1][0]) - convergence_margin(gram(G))) <= 1e-12, seed
+        assert len(seen) == 50
 
 
 class TestSweepThroughCli:

@@ -9,12 +9,10 @@ from cfstbc import (
     encode,
     equivalent_channel,
     golden_params,
-    large_m_diagnostic,
-    stack_system,
-    vec,
     verify_exchangeability,
 )
 from helpers import random_complex, seeded_rng
+from reference import large_m_diagnostic, stack_system, vec
 
 P = golden_params()
 

@@ -16,10 +16,8 @@ from cfstbc import (
     draw_small_scale,
     equivalent_channel,
     slot_maps,
-    stack_system,
     system_gram,
     system_matched,
-    vec,
 )
 from cfstbc import simulate
 from cfstbc.simulate import PURPOSES, _fold, draw_trial
@@ -33,6 +31,7 @@ from helpers import (
     seeded_rng,
     seedsequence_rng,
 )
+from reference import stack_system, vec
 
 
 def rel_err(a, b):

@@ -7,10 +7,8 @@ from cfstbc import (
     DegenerateSplitError,
     Inversion,
     SingularMatrixError,
-    convergence_margin,
     convergence_margins,
     exact_inverse,
-    gram,
     neumann_inverse,
     neumann_r2,
     split_diag,
@@ -24,6 +22,7 @@ from helpers import (
     oracle_exact_inverse,
     random_hpd,
 )
+from reference import convergence_margin, gram
 
 Z22 = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
 
@@ -172,6 +171,13 @@ class TestSplitDiag:
         split = split_diag(Z)
         np.testing.assert_array_equal(split.D + split.E, Z)
         assert np.all(np.diagonal(split.E) == 0)
+
+    def test_stack_keeps_its_diagonal_and_builds_d_on_demand(self):
+        Z = _hpd_stack(4, seed=2, count=6).reshape(2, 3, 4, 4)
+        split = split_diag(Z)
+        np.testing.assert_array_equal(split.diagonal, np.diagonal(Z, axis1=-2, axis2=-1))
+        np.testing.assert_array_equal(split.D, [[np.diag(d) for d in row] for row in split.diagonal])
+        np.testing.assert_array_equal(split.D + split.E, Z)
 
     def test_zero_diagonal_entry(self):
         Z = Z22.copy()

@@ -8,12 +8,8 @@ from cfstbc import (
     NOISE_UNIT,
     DegenerateSinrError,
     Inversion,
-    ber_accumulate,
     detect,
-    sinr_profile,
-    sinr_streams,
     spectral_efficiency,
-    zf_matrix,
 )
 from helpers import (
     draw_system,
@@ -21,6 +17,12 @@ from helpers import (
     random_complex,
     seeded_rng,
     sinr,
+)
+from reference import (
+    ber_accumulate,
+    sinr_profile,
+    sinr_streams,
+    zf_matrix,
 )
 
 

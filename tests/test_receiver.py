@@ -7,15 +7,17 @@ from cfstbc import (
     BPSK,
     QAM4,
     Inversion,
-    cpu_combine,
     detect,
+    neumann_r2,
+)
+from helpers import draw_system, random_complex, seeded_rng
+from reference import (
+    cpu_combine,
     gram,
     mmse_matrix,
-    neumann_r2,
     per_bs_soft,
     zf_matrix,
 )
-from helpers import draw_system, random_complex, seeded_rng
 
 
 def orthonormal_columns(rows, cols, seed):

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -166,6 +167,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             run_ber_sweep(cfg)
         assert err.value.problems
+
+    @pytest.mark.parametrize(
+        "decoder,snr_db",
+        # rho overflows, rho underflows to 0 (ZF, then MMSE), MMSE loading 2/rho overflows
+        [("zf", 4000.0), ("zf", -4000.0), ("mmse", -4000.0), ("mmse", -3200.0)],
+    )
+    def test_snr_outside_the_kernel_range_rejected(self, decoder, snr_db):
+        cfg = ScenarioConfig(L=1, M=16, K=2, decoder=decoder, snr_grid_db=(0.0, snr_db), trials=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # validate neither raises nor warns
+            problems = cfg.validate("ber")
+        assert len(problems) == 1 and problems[0].startswith(f"snr_grid_db entries [{snr_db}] ")
+        with pytest.raises(ConfigError):
+            run_ber_sweep(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        # the MMSE loading overflows; 2 rho of single-antenna users overflows
+        [dict(decoder="mmse", rho_fixed=1e-320), dict(antennas_per_user=1, rho_fixed=1e308)],
+    )
+    def test_se_rho_outside_the_kernel_range_rejected(self, overrides):
+        cfg = ScenarioConfig(L=1, K=1, m_grid=(8,), trials=1, **overrides)
+        problems = cfg.validate("se")
+        assert len(problems) == 1 and problems[0].startswith("rho_fixed entries ")
+        with pytest.raises(ConfigError):
+            run_se_sweep(cfg)
+
+    def test_zf_ignores_the_mmse_loading(self):
+        cfg = ScenarioConfig(L=1, M=16, K=2, snr_grid_db=(-3200.0,), trials=2)
+        assert cfg.validate("ber") == []
+        assert run_ber_sweep(cfg).points[0].estimate.bits_total == 2 * cfg.bits_per_trial()
+
+    def test_diag_checks_the_common_fields_and_the_rank(self):
+        assert ScenarioConfig(L=1).validate("diag") == []
+        problems = ScenarioConfig(L=1, M=2, K=4, master_seed=-1).validate("diag")
+        assert [p.split()[0] for p in problems] == ["master_seed", "ZF"]
 
     @pytest.mark.parametrize("kind", ["ber", "se"])
     def test_noise_term_checked(self, kind):
