@@ -201,7 +201,9 @@ def _file_keys(parser: argparse.ArgumentParser) -> dict:
     }
 
 
-_FILE_KEYS = _file_keys(build_parser())
+# Built once per process: a sweep parses its argv with the same parser.
+_PARSER = build_parser()
+_FILE_KEYS = _file_keys(_PARSER)
 
 
 def _merge_settings(args: argparse.Namespace, problems: list[str]) -> dict:
@@ -313,7 +315,7 @@ def parse_and_validate(argv) -> tuple[ScenarioConfig, CliInvocation]:
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_fuse_grid_flags(argv))
+    args = _PARSER.parse_args(_fuse_grid_flags(argv))
     if args.command == "diag":
         raise ValueError("diag takes no scenario config")
     return _assemble(args)
@@ -367,6 +369,10 @@ def write_results(result: RunResult, path: str) -> None:
         fh.write(text)
 
 
+# Whether this process has pinned its heap (``simulate._pin_heap``): once is enough.
+_heap_pinned = False
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     cfg, invocation = _assemble(args)
 
@@ -383,7 +389,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
             f"se_sum={point.se_sum:.4f} margin={point.conv_margin_mean:.4f}"
         )
 
-    _pin_heap()
+    global _heap_pinned
+    if not _heap_pinned:
+        _pin_heap()
+        _heap_pinned = True
     if invocation.command == "ber":
         progress = None if invocation.quiet else show_ber
         result = run_ber_sweep(cfg, workers=invocation.workers, progress=progress)
@@ -443,7 +452,7 @@ def _run_diag(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_fuse_grid_flags(argv))
+    args = _PARSER.parse_args(_fuse_grid_flags(argv))
     try:
         if args.command == "diag":
             return _run_diag(args)

@@ -7,11 +7,11 @@ in trial order, window by window, which makes serial and parallel runs of
 the same configuration bit-identical.
 
 Each substream is numpy's ``PCG64(SeedSequence(key))`` stream of its key.
-Building ~25 such generators a trial cost more than decoding it, so
-``stream_states`` runs numpy's published SeedSequence hash and PCG64
-seeding for every stream of a job's trials at once, and the job's draws
-take turns on one generator set to each derived state. The streams are
-exactly numpy's; only their set-up is batched.
+Hashing ~25 such seeds a trial cost more than decoding it, so
+``stream_states`` runs numpy's published SeedSequence hash for every
+stream of a job's trials at once, and numpy seeds each stream's PCG64
+from its derived words. The streams are exactly numpy's; only the
+hashing is batched.
 
 One kernel serves both scenario families and both sweep kinds. Each BS
 decodes in the Gram domain: the decoder's Gram matrix and matched filter
@@ -47,14 +47,14 @@ to run from several threads at once.
 from __future__ import annotations
 
 import ctypes
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channel import ChannelRealization, LargeScaleProfile, draw_large_scale, draw_noise
 from .golden import encode, slot_maps, system_gram, system_matched
@@ -93,16 +93,13 @@ class ConfigError(ValueError):
         return type(self), (self.problems,)
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
-# multiplier of PCG64's 128-bit LCG (pcg64.h).
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _XSHIFT = np.uint32(16)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(n: int) -> list[int]:
@@ -166,25 +163,16 @@ def _seedsequence_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return state.view("<u8")
 
 
-def _pcg64_state(words: np.ndarray) -> tuple[int, int]:
-    """PCG64 (state, inc) seeded by SeedSequence's four uint64 words."""
-    s_hi, s_lo, i_hi, i_lo = words.tolist()
-    # pcg64_set_seed: state = 0, inc = 2 seq + 1, step, add the seed, step
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    return (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
-
-
 def stream_states(
     master_seed: int, trials: Sequence[int], fields: Sequence[tuple[int, ...]]
-) -> Iterator[tuple[int, int]]:
-    """PCG64 (state, inc) of the stream keyed (master_seed, trial, *field).
+) -> np.ndarray:
+    """Seed words of the stream keyed (master_seed, trial, *field).
 
-    One pair per trial and field, trial-major: each is the state
-    ``np.random.PCG64(np.random.SeedSequence(key))`` starts from. The call
-    derives every key's seed words in one vectorized pass and keeps them
-    packed; each pair is made from its words when the iterator reaches it.
-    The entropy words are the ones SeedSequence builds from the key tuple:
-    each int's little-endian uint32 words, in field order.
+    One row per trial and field, trial-major: row i is the
+    ``np.random.SeedSequence(key).generate_state(4, np.uint64)`` that
+    ``np.random.PCG64`` seeds the key's stream from, all derived in one
+    vectorized pass. The entropy words are the ones SeedSequence builds
+    from the key tuple: each int's little-endian uint32 words, in field order.
     """
     head = _words(master_seed)
     trial_words, trial_len = _padded([_words(t) for t in trials])
@@ -198,30 +186,25 @@ def stream_states(
     at = h + trial_len[:, None, None] + np.arange(wf)
     np.put_along_axis(entropy, np.broadcast_to(at, (T, S, wf)), field_words[None], axis=2)
     lengths = h + trial_len[:, None] + field_len[None, :]
-    words = _seedsequence_words(entropy.reshape(T * S, -1), lengths.reshape(-1))
-    return map(_pcg64_state, words)
+    return _seedsequence_words(entropy.reshape(T * S, -1), lengths.reshape(-1))
+
+
+class _SeedWords(ISeedSequence):
+    """A seed that hands PCG64 the four words ``stream_states`` derived for it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words  # PCG64 asks for exactly these: 4 uint64 words
 
 
 def _streams(
     master_seed: int, trials: Sequence[int], fields: Sequence[tuple[int, ...]]
 ) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to each stream of ``stream_states``.
-
-    It is the same object each time: take a stream's draws before asking
-    for the next stream.
-    """
-    bitgen = np.random.PCG64(0)  # every state it draws from is set below
-    gen = np.random.Generator(bitgen)
-    for state, inc in stream_states(master_seed, trials, fields):
-        # as a fresh PCG64 would be: no half-word left over from the last
-        # stream's 32-bit draws
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+    """numpy's own generator of each stream of ``stream_states``, in its order."""
+    for words in stream_states(master_seed, trials, fields):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def trial_rng(
@@ -231,7 +214,7 @@ def trial_rng(
 
     The stream is numpy's ``default_rng(SeedSequence(key))`` of
     key = (master_seed, trial, l, k, PURPOSES[purpose]), which is
-    collision-resistant and platform-stable; its state comes from
+    collision-resistant and platform-stable; its seed words come from
     ``stream_states``, the path every trial's draws take.
     """
     return next(_streams(master_seed, [trial], [(l, k, PURPOSES[purpose])]))
@@ -498,6 +481,11 @@ def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> Tri
     return TrialDraws(ChannelRealization(h, profile), bits, noise)
 
 
+def _gains(zinv: np.ndarray, z_raw: np.ndarray) -> np.ndarray:
+    """Each trial's detector gains: the sum over BSs of diag(A_l G_l) = diag(Z_l^-1 Z_raw,l)."""
+    return np.einsum("tlij,tlji->ti", zinv, z_raw)
+
+
 def _block(
     cfg: ScenarioConfig,
     maps: np.ndarray,
@@ -558,16 +546,20 @@ def _block(
     for m in ms:
         R_m = np.stack(R.pop(m))
         z_raw = system_gram(R_m, betas, maps)  # (trials, L, n, n)
-        if cfg.decoder == "zf":
-            zinv, margins = inverse(z_raw)
         if ber:
             R_sent, HhW_m = R_m @ sent, np.stack(HhW.pop(m))
+        if cfg.decoder == "zf":
+            zinv, margins = inverse(z_raw)
+            if ber:
+                gains = _gains(zinv, z_raw)
         for (point_m, rho), (values, point_margins) in zip(points, pieces):
             if point_m != m:
                 continue
             rho_eff = rho if dual else 2.0 * rho
             if cfg.decoder == "mmse":
                 zinv, margins = inverse(z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1]))
+                if ber:
+                    gains = _gains(zinv, z_raw)
             point_margins.extend(margins)
             if not ber:
                 ag = zinv @ z_raw  # A G per BS
@@ -584,7 +576,6 @@ def _block(
             else:
                 HhY = np.sqrt(rho_eff / 2.0) * R_sent + HhW_m
                 soft = np.einsum("tlij,tlj->ti", zinv, system_matched(HhY, betas, maps))
-                gains = np.einsum("tlij,tlji->ti", zinv, z_raw)  # sum over l of diag(A_l G_l)
                 rx_bits = const.demodulate(detect(soft, gains, rho_eff, const))
                 values.append(int(np.count_nonzero(rx_bits != tx_bits.reshape(-1))))
 
@@ -595,7 +586,7 @@ def _chunk(
     """Trials lo..hi-1 at every (m, rho) point: each point's per-trial values
     and sampled trials' margins, unsummed and in trial order.
 
-    The job's stream states are derived once; its blocks draw from them in turn."""
+    The job's stream seeds are derived once; its blocks draw from them in turn."""
     maps = slot_maps(cfg.K, cfg.antennas_per_user)
     n = maps.shape[-1]
     block = max(1, BLOCK_ELEMENTS // (cfg.L * n * n))
@@ -661,7 +652,8 @@ def _pin_heap() -> bool:
     glibc would map each large array afresh, or trim the heap's free top, so a
     trial's arrays would fault their pages in on every trial. 32 MiB is glibc's
     64-bit ceiling for its dynamic mmap threshold, and trim is twice it. The CLI
-    calls this and the pool runs it in each worker; a library caller is left alone.
+    calls this once per process and each pool worker at its start; a library
+    caller is left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -672,36 +664,170 @@ def _pin_heap() -> bool:
     return bool(mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20))
 
 
-# The process's pool as (size, executor), kept from one parallel sweep to
-# the next; the stdlib's exit hook joins its workers at interpreter exit.
-_pool: tuple[int, ProcessPoolExecutor] | None = None
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback: the cause of its error, re-raised in the caller."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _serve(conn, inherited: list, stop, cpu: int | None) -> None:
+    """A pool worker: run each list of calls it is sent and reply once per list.
+
+    The reply is (results, None), or (results so far, (exception, formatted
+    traceback)) when a call failed; a failed call sets ``stop``, and a set
+    ``stop`` ends any worker's list after its current call. The worker exits
+    when it reads EOF, that is, when the caller drops the pool or dies; it
+    therefore first closes the caller's pipe ends it inherited at the fork.
+    """
+    import signal
+    import traceback
+
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    _pin_heap()
+    while True:
+        try:
+            calls = conn.recv()
+        except EOFError:
+            return
+        results, error = [], None
+        for fn, *args in calls:
+            if stop.is_set() or conn.poll():  # a job failed, or the caller is gone (EOF)
+                break
+            try:
+                results.append(fn(*args))
+            except BaseException as exc:
+                stop.set()
+                error = (exc, traceback.format_exc())
+                break
+        try:
+            conn.send((results, error))
+        except OSError:  # the caller is gone
+            return
+
+
+class _Pool:
+    """Kept worker processes, each fed over its own pipe.
+
+    ``cpus`` is empty, or the CPUs of a sweep whose processes fill them
+    exactly: the caller's first, then one for each worker, which pins
+    itself to it. ``busy`` is set from ``send`` until ``gather`` has read
+    every reply.
+    """
+
+    def __init__(self, size: int, cpus: tuple[int, ...]):
+        import multiprocessing
+
+        self.cpus = cpus
+        self.stop = multiprocessing.Event()
+        self.procs, self.conns = [], []
+        self.busy = False
+        for i in range(size):
+            ours, theirs = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_serve,
+                args=(theirs, self.conns + [ours], self.stop, cpus[i + 1] if cpus else None),
+                daemon=True,
+            )
+            proc.start()
+            theirs.close()
+            self.procs.append(proc)
+            self.conns.append(ours)
+
+    def usable(self, size: int, cpus: tuple[int, ...]) -> bool:
+        fits = size == len(self.procs) and cpus == self.cpus
+        return fits and not self.busy and all(p.is_alive() for p in self.procs)
+
+    def send(self, shares: list[list[tuple]]) -> None:
+        """Send worker w its list of calls ``shares[w]``, one message each."""
+        self.busy = True
+        for proc, conn, calls in zip(self.procs, self.conns, shares):
+            try:
+                conn.send(calls)
+            except OSError:  # it died after the pool was checked
+                self._lost(proc)
+
+    def _lost(self, proc) -> None:
+        _close_pool()
+        raise RuntimeError(
+            f"pool worker {proc.pid} died mid-sweep (exit code {proc.exitcode}); "
+            "the next parallel sweep forks a new pool"
+        )
+
+    def gather(self) -> list[list]:
+        """Every worker's list of results, once all replies are in.
+
+        A worker's error is raised with the worker's traceback as its cause;
+        a worker that died mid-sweep drops the pool and raises RuntimeError.
+        """
+        replies = []
+        for conn in self.conns:
+            try:
+                replies.append(conn.recv())
+            except (EOFError, OSError):  # the worker died
+                self.stop.set()
+                replies.append(None)
+        self.busy = False
+        self.stop.clear()
+        if None in replies:
+            self._lost(self.procs[replies.index(None)])
+        for _, error in replies:
+            if error is not None:
+                exc, text = error
+                raise exc from _RemoteTraceback(text)
+        return [results for results, _ in replies]
+
+    def cancel(self) -> None:
+        """Stop the workers after their current call and drop their replies."""
+        self.stop.set()
+        try:
+            self.gather()
+        except Exception:  # the sweep's own error is the one to report
+            pass
+
+    def close(self) -> None:
+        """Close the pipes, so each worker reads EOF and exits, and join the workers."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join()
+
+
+# The process's pool, kept from one parallel sweep to the next; its workers
+# are daemons, which multiprocessing's exit hook stops at interpreter exit.
+_pool: _Pool | None = None
 
 
 def _close_pool() -> None:
-    """Shut the kept pool down and join its workers; the next sweep forks anew."""
+    """Drop the kept pool and join its workers; the next parallel sweep forks anew."""
     global _pool
     if _pool is not None:
-        _pool[1].shutdown()
-        _pool = None
+        pool, _pool = _pool, None
+        pool.close()
 
 
-def _submit(size: int, calls: list[tuple]) -> list:
-    """Futures of ``calls`` on the kept pool of ``size`` worker processes.
+def _pinned_cpus(workers: int) -> tuple[int, ...]:
+    """This thread's CPUs, sorted, if a sweep's ``workers`` processes fill them
+    exactly and the platform can pin; otherwise none."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ()
+    cpus = tuple(sorted(os.sched_getaffinity(0)))
+    return cpus if workers == len(cpus) > 1 else ()
 
-    A pool of another size, or one broken since the last sweep (a worker
-    was killed), is shut down before its replacement is forked, so no fork
-    happens while the old pool's threads run.
-    """
+
+def _kept_pool(size: int, cpus: tuple[int, ...]) -> _Pool:
+    """The kept pool of ``size`` workers pinned to ``cpus``, forked anew if the
+    kept one has another key, a dead worker, or replies left unread."""
     global _pool
-    if _pool is not None and _pool[0] != size:
+    if _pool is not None and not _pool.usable(size, cpus):
         _close_pool()
-    if _pool is not None:
-        try:
-            return [_pool[1].submit(*call) for call in calls]
-        except BrokenProcessPool:
-            _close_pool()
-    _pool = (size, ProcessPoolExecutor(max_workers=size, initializer=_pin_heap))
-    return [_pool[1].submit(*call) for call in calls]
+    if _pool is None:
+        _pool = _Pool(size, cpus)
+    return _pool
 
 
 def _sweep(
@@ -721,19 +847,25 @@ def _sweep(
     fewer windows than workers, so no process idles; empty ranges are
     dropped. ``workers`` counts the caller, which runs jobs 0, workers,
     2 workers, ... itself while a pool of at most workers - 1 processes
-    runs the rest; a sweep of one job starts no pool. Jobs return each
-    point's per-trial values unsummed, and each window's are added in trial
-    order, as a one-job window adds them, so the output is bit-identical
-    whatever the split, serial or parallel. Progress calls come in grid
-    order once every job is done.
+    runs the rest, worker w the pooled jobs w, w + size, ...; a sweep of
+    one job starts no pool. Jobs return each point's per-trial values
+    unsummed, and each window's are added in trial order, as a one-job
+    window adds them, so the output is bit-identical whatever the split,
+    serial or parallel. Progress calls come in grid order once every job
+    is done.
 
-    The pool is kept for the next sweep of the process (see ``_submit``).
+    When ``workers`` equals this thread's CPU count (above one), the caller
+    runs its share pinned to the first CPU and each worker is pinned to one
+    of the others, so no two of the sweep's processes share a CPU; the
+    caller's mask is restored afterwards.
+
+    The pool is kept for the next sweep of the process (see ``_kept_pool``).
     Its workers keep the module state of the sweep that forked them, so a
     test that patches a global read inside a job and then runs with
-    ``workers > 1`` calls ``_close_pool`` first. On an error the pending
-    jobs are cancelled and the running ones waited for, so the next sweep
-    does not queue behind them. Sweeps are not meant to run from several
-    threads at once.
+    ``workers > 1`` calls ``_close_pool`` first. When a job fails, in the
+    caller or a worker, the workers stop after their current job and the
+    caller reads every reply before it raises, so the next sweep finds the
+    pool idle. Sweeps are not meant to run from several threads at once.
     """
     problems = cfg.validate(kind)
     if problems:
@@ -745,20 +877,28 @@ def _sweep(
     ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [cfg.trials]) if lo < hi]
     pooled = [i for i in range(len(ranges)) if i % workers]
     results = [None] * len(ranges)
-    futures = []
+    pool = None
+    if pooled:
+        size = min(workers - 1, len(pooled))
+        pool = _kept_pool(size, _pinned_cpus(workers))
+        pool.send([[(run_chunk, cfg, grid, *ranges[i]) for i in pooled[w::size]] for w in range(size)])
+    pinned = pool is not None and pool.cpus
     try:
-        if pooled:
-            calls = [(run_chunk, cfg, grid, *ranges[i]) for i in pooled]
-            futures = _submit(min(workers - 1, len(pooled)), calls)
+        if pinned:
+            os.sched_setaffinity(0, pool.cpus[:1])
         for i in range(0, len(ranges), workers):
             results[i] = run_chunk(cfg, grid, *ranges[i])
-        for i, future in zip(pooled, futures):
-            results[i] = future.result()
     except BaseException:
-        for future in futures:
-            future.cancel()
-        wait(futures)
+        if pool is not None:
+            pool.cancel()
         raise
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, pool.cpus)  # the mask _pinned_cpus read
+    if pool is not None:
+        for w, share in enumerate(pool.gather()):
+            for i, result in zip(pooled[w::size], share):
+                results[i] = result
     partials = [[] for _ in grid]
     by_window = groupby(zip(ranges, results), key=lambda job: job[0][0] // TRIAL_CHUNK)
     for _, window in by_window:

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -103,12 +102,15 @@ class TestStreamStates:
         ),
     )
     def test_states_are_pcg64_of_the_seedsequence(self, seed, trials, fields):
-        want = []
-        for t in trials:
-            for f in fields:
-                state = np.random.PCG64(np.random.SeedSequence((seed, t, *f))).state["state"]
-                want.append((state["state"], state["inc"]))
-        assert list(stream_states(seed, trials, fields)) == want
+        keys = [(seed, t, *f) for t in trials for f in fields]
+        want = [np.random.SeedSequence(key).generate_state(4, np.uint64) for key in keys]
+        words = stream_states(seed, trials, fields)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, np.array(want))
+        streams = list(_streams(seed, trials, fields))
+        assert len(streams) == len(keys)
+        for gen, key in zip(streams, keys):
+            assert gen.bit_generator.state == np.random.PCG64(np.random.SeedSequence(key)).state
 
     def test_integers_after_a_stream_left_half_a_word(self):
         streams = _streams(77, [3], [(0, 1, PURPOSES["bits"]), (0, 2, PURPOSES["bits"])])
@@ -435,12 +437,37 @@ def _chunk_failing_at(bad_lo, cfg, grid, lo, hi):
     return _real_ber_chunk(cfg, grid, lo, hi)
 
 
+def _chunk_noting_starts(log: str, bad_lo: int, cfg, grid, lo, hi):
+    """``_chunk_failing_at``, appending "start lo" and "end lo" lines to ``log``."""
+    with open(log, "a", encoding="ascii") as fh:
+        fh.write(f"start {lo}\n")
+    try:
+        return _chunk_failing_at(bad_lo, cfg, grid, lo, hi)
+    finally:
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"end {lo}\n")
+
+
+def _chunk_killing(pid: int, cfg, grid, lo, hi):
+    os.kill(pid, signal.SIGKILL)
+    return _real_ber_chunk(cfg, grid, lo, hi)
+
+
+# The affinity each job of this process ran under; a worker appends to its own copy.
+_caller_masks = []
+
+
+def _chunk_noting_affinity(cfg, grid, lo, hi):
+    _caller_masks.append(os.sched_getaffinity(0))
+    return _real_ber_chunk(cfg, grid, lo, hi)
+
+
 class _PoolLog(list):
-    """Sizes of the pools started, in order; ``futures`` holds every job submitted."""
+    """Sizes of the pools started, in order; ``shares`` holds each list of jobs sent to a worker."""
 
     def __init__(self):
         super().__init__()
-        self.futures = []
+        self.shares = []
 
 
 @pytest.fixture
@@ -452,17 +479,17 @@ def pools(monkeypatch):
     """
     log = _PoolLog()
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **options):
-            log.append(max_workers)
-            super().__init__(max_workers=max_workers, **options)
+    class RecordingPool(simulate._Pool):
+        def __init__(self, size, cpus):
+            log.append(size)
+            super().__init__(size, cpus)
 
-        def submit(self, *args):
-            log.futures.append(super().submit(*args))
-            return log.futures[-1]
+        def send(self, shares):
+            log.shares.extend(shares)
+            super().send(shares)
 
     simulate._close_pool()
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate, "_Pool", RecordingPool)
     yield log
     simulate._close_pool()
 
@@ -473,6 +500,16 @@ def _alive(pid: int) -> bool:
     except ProcessLookupError:
         return False
     return True
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie; an orphan's zombie waits on
+    whichever process adopted it, so ``_alive`` would count it."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
 
 
 def _pool_pids() -> set[int]:
@@ -502,6 +539,15 @@ class TestCallerShare:
         assert pools == sizes
         assert result.points == run_ber_sweep(cfg).points
 
+    def test_worker_w_gets_every_size_th_pooled_job(self, pools):
+        # six one-window jobs, three workers: the caller runs jobs 0 and 3,
+        # worker 0 jobs 1 and 4, worker 1 jobs 2 and 5, each as one list
+        cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=6 * 256, margin_trials=8)
+        run_ber_sweep(cfg, workers=3)
+        assert [[call[3:] for call in share] for share in pools.shares] == [
+            [(256, 512), (1024, 1280)], [(512, 768), (1280, 1536)]
+        ]
+
     @pytest.mark.parametrize("bad_lo,in_pool", [(0, False), (512, False), (256, True)])
     def test_job_error_surfaces_intact(self, monkeypatch, pools, bad_lo, in_pool):
         # 600 trials, two workers: the caller runs the ranges starting at 0
@@ -514,6 +560,8 @@ class TestCallerShare:
         assert err.value.pivot == 3
         assert str(err.value) == str(SingularMatrixError(pivot=3))
         assert (err.value.__cause__ is not None) == in_pool
+        if in_pool:
+            assert "_chunk_failing_at" in str(err.value.__cause__)  # the worker's traceback
         assert pools == [1]
 
 
@@ -541,21 +589,27 @@ class TestPoolReuse:
         assert result.points == run_ber_sweep(self.cfg).points
 
     @pytest.mark.parametrize("bad_lo", [0, 64])
-    def test_next_sweep_after_a_job_error_succeeds(self, monkeypatch, pools, bad_lo):
+    def test_next_sweep_after_a_job_error_succeeds(self, monkeypatch, pools, tmp_path, bad_lo):
         # 24 windows, two workers: the caller runs the even jobs, the pool
-        # the odd ones; a failed sweep leaves no job of its own queued. Only
+        # the odd ones; a failed sweep leaves no job of its own running. Only
         # the caller reads TRIAL_CHUNK. The failing job is passed in, not
         # patched into the module, which the kept workers would go on reading.
         monkeypatch.setattr(simulate, "TRIAL_CHUNK", 64)
         cfg = dataclasses.replace(self.cfg, trials=24 * 64)
-        failing = partial(_chunk_failing_at, bad_lo)
+        log = tmp_path / "jobs.log"
+        failing = partial(_chunk_noting_starts, str(log), bad_lo)
         grid = cfg.snr_grid_db
         with pytest.raises(SingularMatrixError):
             simulate._sweep("ber", cfg, grid, failing, simulate._ber_point, 2, None)
-        assert len(pools.futures) == 12
-        assert all(f.done() for f in pools.futures)
+        assert sum(len(share) for share in pools.shares) == 12
+        events = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
+        started = {int(lo) for what, lo in events if what == "start" and int(lo) // 64 % 2}
+        ended = {int(lo) for what, lo in events if what == "end" and int(lo) // 64 % 2}
+        assert started == ended  # every pooled job that started has ended
         if bad_lo == 0:  # the caller fails first, with pool jobs still pending
-            assert any(f.cancelled() for f in pools.futures)
+            assert len(started) < 12
+        else:
+            assert bad_lo in started
         assert run_ber_sweep(cfg, workers=2).points == run_ber_sweep(cfg).points
         assert pools == [1]
 
@@ -564,14 +618,79 @@ class TestPoolReuse:
         assert run_ber_sweep(self.cfg, workers=2).points == serial
         (pid,) = _pool_pids()
         os.kill(pid, signal.SIGKILL)
-        # the pool's manager thread marks the pool broken, then reaps the worker
         deadline = time.monotonic() + 30
-        while _alive(pid) and time.monotonic() < deadline:
+        while _running(pid) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert not _alive(pid)
+        # the next sweep finds the worker dead, reaps it and forks a new pool
         assert run_ber_sweep(self.cfg, workers=2).points == serial
         assert pools == [1, 1]
         assert pid not in _pool_pids()
+        assert not _alive(pid)
+
+    def test_worker_dying_mid_sweep_is_reported(self, pools):
+        serial = run_ber_sweep(self.cfg).points
+        run_ber_sweep(self.cfg, workers=2)
+        (pid,) = _pool_pids()
+        # whichever process runs its job first kills the worker
+        killing = partial(_chunk_killing, pid)
+        grid = self.cfg.snr_grid_db
+        with pytest.raises(RuntimeError, match=f"pool worker {pid} died mid-sweep"):
+            simulate._sweep("ber", self.cfg, grid, killing, simulate._ber_point, 2, None)
+        assert not _alive(pid)  # the pool was dropped and its worker reaped
+        assert run_ber_sweep(self.cfg, workers=2).points == serial
+        assert pools == [1, 1]
+
+
+@pytest.fixture
+def few_cpus():
+    """Up to three of this thread's CPUs, set as its affinity for the test."""
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)[:3]
+    os.sched_setaffinity(0, cpus)
+    simulate._close_pool()
+    _caller_masks.clear()
+    yield cpus
+    simulate._close_pool()
+    os.sched_setaffinity(0, mask)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity calls here")
+class TestPinning:
+    """A sweep whose processes fill its CPUs gives each one a CPU of its own."""
+
+    cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=600, margin_trials=8)
+
+    def _sweep(self, workers, run_chunk=_chunk_noting_affinity):
+        grid = self.cfg.snr_grid_db
+        return simulate._sweep("ber", self.cfg, grid, run_chunk, simulate._ber_point, workers, None)
+
+    def test_each_process_runs_on_its_own_cpu(self, few_cpus):
+        if len(few_cpus) < 2:
+            pytest.skip("one CPU: nothing to pin")
+        result = self._sweep(len(few_cpus))
+        masks = [os.sched_getaffinity(pid) for pid in _pool_pids()]
+        assert len(masks) == len(few_cpus) - 1
+        assert all(len(mask) == 1 for mask in masks)
+        assert set().union(*masks) == set(few_cpus[1:])
+        assert _caller_masks and all(mask == {few_cpus[0]} for mask in _caller_masks)
+        assert os.sched_getaffinity(0) == set(few_cpus)  # restored after the sweep
+        assert result.points == run_ber_sweep(self.cfg).points
+        # and after a sweep whose caller job fails
+        with pytest.raises(SingularMatrixError):
+            self._sweep(len(few_cpus), partial(_chunk_failing_at, 0))
+        assert os.sched_getaffinity(0) == set(few_cpus)
+
+    def test_nothing_is_pinned_when_workers_differ_from_the_cpus(self, few_cpus):
+        result = self._sweep(len(few_cpus) + 1)
+        masks = [os.sched_getaffinity(pid) for pid in _pool_pids()]
+        assert len(masks) == len(few_cpus)
+        assert all(mask == set(few_cpus) for mask in masks)
+        assert _caller_masks and all(mask == set(few_cpus) for mask in _caller_masks)
+        assert result.points == run_ber_sweep(self.cfg).points
+
+    def test_nothing_is_pinned_without_the_affinity_call(self, few_cpus, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert simulate._pinned_cpus(len(few_cpus)) == ()
 
 
 class TestPresets:
@@ -640,6 +759,16 @@ def test_exact_sweep_imports_no_scipy():
     assert _run_python(code, dict(os.environ)) == "False"
 
 
+def test_one_job_sweep_imports_no_pool_machinery():
+    # a one-trial sweep is one job, whatever ``workers`` says: no pool to fork
+    code = (
+        "import sys; from cfstbc import ScenarioConfig, cli, run_ber_sweep; "
+        "run_ber_sweep(ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=1), workers=2); "
+        "print(*(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))"
+    )
+    assert _run_python(code, dict(os.environ)) == "False False"
+
+
 def test_no_worker_outlives_its_process():
     code = (
         "import multiprocessing\n"
@@ -654,6 +783,46 @@ def test_no_worker_outlives_its_process():
     pids = [int(pid) for pid in first.split()]
     assert len(pids) == 2
     assert not any(_alive(pid) for pid in pids)
+
+
+# Forks a pool of two workers, prints their pids, then starts a sweep of
+# 3,000 jobs, each worker's 1,000 about half a minute of work, which the
+# test kills with SIGKILL.
+_KILLED_MID_SWEEP = """
+import dataclasses, multiprocessing
+from cfstbc import ScenarioConfig, run_ber_sweep
+cfg = ScenarioConfig(L=2, M=16, K=2, snr_grid_db=(0.0,), trials=600, margin_trials=1)
+run_ber_sweep(cfg, workers=3)
+print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+run_ber_sweep(dataclasses.replace(cfg, trials=3000 * 256), workers=3)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+def test_workers_exit_when_their_caller_is_killed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_MID_SWEEP], env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        time.sleep(0.5)  # into the long sweep
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert len(pids) == 2
+    assert proc.returncode == -signal.SIGKILL  # killed, not finished
+    # each worker reads EOF on its pipe after its current job and exits,
+    # long before the rest of its list would end
+    deadline = time.monotonic() + 10
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:  # leave no orphan behind a failure
+        os.kill(pid, signal.SIGKILL)
+    assert not left
 
 
 _GLIBC_64 = platform.libc_ver()[0] == "glibc" and sys.maxsize > 2**32
@@ -708,7 +877,7 @@ class TestHeapKept:
 
     @pytest.mark.parametrize("entry", ["cli", "library"])
     def test_pool_workers_keep_their_heap(self, tmp_path, entry):
-        # through the library only the pool initializer pins the worker's heap
+        # through the library only the worker itself pins its heap, at start
         assert self._faults(tmp_path, entry, 2) < self.BOUND
 
 
@@ -749,10 +918,13 @@ class TestPinHeap:
             return 1
 
         monkeypatch.setattr(ctypes, "CDLL", self._libc(mallopt=mallopt))
+        monkeypatch.setattr(cli, "_heap_pinned", False)  # as in a fresh process
         run_ber_sweep(ScenarioConfig(L=1, M=8, K=1, snr_grid_db=(0.0,), trials=1))
         assert calls == []  # an embedding process is left as it is
         assert cli.main(self.ONE_TRIAL + [str(tmp_path / "one.csv")]) == 0
         assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert cli.main(self.ONE_TRIAL + [str(tmp_path / "two.csv")]) == 0
+        assert len(calls) == 2  # once per process
 
     @pytest.mark.skipif(not _GLIBC_64, reason="mallopt thresholds are glibc's, 64-bit")
     def test_glibc_accepts_it_again(self):
