@@ -16,13 +16,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelRealization,
-    LargeScaleProfile,
-    draw_large_scale,
-    draw_noise,
-    draw_small_scale,
-)
 from .golden import (
     GoldenParams,
     encode,

@@ -27,8 +27,11 @@ from .simulate import (
     ConfigError,
     RunResult,
     ScenarioConfig,
+    _draw,
+    _fading,
     _pin_heap,
-    draw_trial,
+    _stream_fields,
+    _streams,
     run_ber_sweep,
     run_se_sweep,
     trial_rng,
@@ -45,7 +48,6 @@ class CliInvocation:
     """Resolved run-control options, separate from the physics scenario."""
 
     command: str
-    config_path: str | None
     out_path: str
     workers: int
     quiet: bool
@@ -233,8 +235,6 @@ def _assemble(args: argparse.Namespace) -> tuple[ScenarioConfig, CliInvocation]:
     merged = _merge_settings(args, problems)
 
     cfg_fields: dict = {}
-    if args.command == "ber":
-        cfg_fields["antennas_per_user"] = 2
     for key, target in (
         ("L", "L"),
         ("M", "M"),
@@ -300,7 +300,6 @@ def _assemble(args: argparse.Namespace) -> tuple[ScenarioConfig, CliInvocation]:
 
     invocation = CliInvocation(
         command=args.command,
-        config_path=args.config,
         out_path=str(merged.get("out", f"{args.command}.csv")),
         workers=max(1, workers),
         quiet=bool(merged.get("quiet", False)),
@@ -420,10 +419,12 @@ def _run_diag(args: argparse.Namespace) -> int:
     checks.append(("row-energy p = |a|^2+|c|^2", p_val, abs(p_val - 1.0) < 1e-12))
     checks.append(("row-energy s = |ab|^2+|cd|^2", s_val, abs(s_val - 1.0) < 1e-12))
 
-    draws = draw_trial(cfg, args.M, trial=0, ber=False)
+    # the sweep kernel's draws: BS 0's X = H^T as ``simulate._fading`` lays it out
+    streams = _streams(args.seed, [0], _stream_fields(cfg, ber=False))
+    betas, normals, _, _ = _draw(cfg, args.M, False, streams)
+    X = _fading(normals, args.M, 2)
+    H = X[0, :2].T  # user 0's (M, 2) fading
     rng = trial_rng(args.seed, 0, 0, 0, "bits")
-    channels = draws.channels
-    H = channels.h[0, 0]
     residual = max(
         verify_exchangeability(
             H, rng.standard_normal(4) + 1j * rng.standard_normal(4), params
@@ -434,9 +435,8 @@ def _run_diag(args: argparse.Namespace) -> int:
         ("equivalent-channel residual", residual, residual < 1e-12 * args.M)
     )
 
-    # the sweep kernel's margin: R = conj(X) X^T, X = H^T laid out as ``simulate._fading`` does
-    X = channels.h.swapaxes(2, 3).reshape(1, 2 * args.K, args.M)
-    Z = system_gram(X.conj() @ X.swapaxes(1, 2), channels.profile.betas, slot_maps(args.K, 2))
+    # the sweep kernel's margin: R = conj(X) X^T
+    Z = system_gram(X.conj() @ X.swapaxes(1, 2), betas, slot_maps(args.K, 2))
     margin = float(convergence_margins(Z)[0])
     checks.append(("series convergence margin", margin, margin < 1.0))
 

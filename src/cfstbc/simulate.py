@@ -51,12 +51,11 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .channel import ChannelRealization, LargeScaleProfile, draw_large_scale, draw_noise
 from .golden import encode, slot_maps, system_gram, system_matched
 from .linalg import convergence_margins
 from .metrics import (
@@ -220,6 +219,12 @@ def trial_rng(
     return next(_streams(master_seed, [trial], [(l, k, PURPOSES[purpose])]))
 
 
+def _echo_number(value: float) -> str:
+    """``value`` as ``:g`` prints it when that parses back to it, else in full."""
+    text = f"{value:g}"
+    return text if float(text) == value else str(value)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description for one sweep."""
@@ -364,11 +369,11 @@ class ScenarioConfig:
         ):
             out[name] = str(getattr(self, name))
         out["inversion"] = self.inversion.label
-        out["snr_grid_db"] = ",".join(f"{v:g}" for v in self.snr_grid_db)
-        out["rho_fixed"] = f"{self.rho_fixed:g}"
+        out["snr_grid_db"] = ",".join(_echo_number(v) for v in self.snr_grid_db)
+        out["rho_fixed"] = _echo_number(self.rho_fixed)
         out["m_grid"] = ",".join(str(v) for v in self.m_grid)
         for name in ("trials", "master_seed", "noise_scale", "margin_trials"):
-            out[name] = f"{getattr(self, name):g}"
+            out[name] = _echo_number(getattr(self, name))
         out["noise_term"] = self.noise_term
         return out
 
@@ -408,14 +413,6 @@ def trials_for_bits(cfg: ScenarioConfig, target_bits: int) -> int:
     return -(-target_bits // per_trial)
 
 
-class TrialDraws(NamedTuple):
-    """Every random input of one trial, each drawn from its own stream."""
-
-    channels: ChannelRealization  # (L, K, M, J) fading and (L, K) gains
-    bits: np.ndarray | None  # (K, bits per user), BER trials only
-    noise: np.ndarray | None  # (L, M, J) unit-variance noise, BER trials only
-
-
 def _stream_fields(cfg: ScenarioConfig, ber: bool) -> list[tuple[int, int, int]]:
     """(BS, user, purpose) of every stream a trial draws, in draw order."""
     fields = [(0, 0, PURPOSES["beta"])]
@@ -428,15 +425,19 @@ def _stream_fields(cfg: ScenarioConfig, ber: bool) -> list[tuple[int, int, int]]
 
 def _draw(
     cfg: ScenarioConfig, m: int, ber: bool, streams: Iterator[np.random.Generator]
-) -> tuple[LargeScaleProfile, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """One trial's draws at m antennas from its next streams: the gains, the
-    channel streams' normals and, for BER, the bits and noise.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One trial's draws at m antennas from its next streams: the (L, K)
+    gains, the channel streams' normals and, for BER, the bits and noise.
 
-    Each channel stream fills its row of one (L, K, 2 m J) buffer, scaled
-    once; ``_fading`` cuts the fading of m or fewer antennas from it.
+    Each gain row is K uniforms sorted non-increasing. Each channel stream
+    fills its row of one (L, K, 2 m J) buffer, scaled once; ``_fading``
+    cuts the fading of m or fewer antennas from it. Each noise stream
+    fills its row of one (L, 2 m J) buffer the same way: BS l's (m, J)
+    noise is its row's first m J normals (real parts), then its next m J
+    (imaginary parts).
     """
     J = cfg.antennas_per_user
-    profile = draw_large_scale(cfg.L, cfg.K, next(streams))
+    betas = np.sort(next(streams).random((cfg.L, cfg.K)), axis=1)[:, ::-1]
     normals = np.empty((cfg.L, cfg.K, 2 * m * J))
     for row in normals.reshape(cfg.L * cfg.K, -1):
         next(streams).standard_normal(out=row)
@@ -448,10 +449,13 @@ def _draw(
         bits = np.empty((cfg.K, cfg.bits_per_trial() // cfg.K), dtype=np.uint8)
         for k in range(cfg.K):
             bits[k] = next(streams).integers(0, 2, size=bits.shape[1])
+        parts = np.empty((cfg.L, 2 * m * J))
+        for row in parts:
+            next(streams).standard_normal(out=row)
+        parts *= np.sqrt(0.5)
         noise = np.empty((cfg.L, m, J), dtype=complex)
-        for l in range(cfg.L):
-            noise[l] = draw_noise(m, J, next(streams))
-    return profile, normals, bits, noise
+        noise.real, noise.imag = parts.reshape(cfg.L, 2, m, J).swapaxes(0, 1)
+    return betas, normals, bits, noise
 
 
 def _fading(normals: np.ndarray, m: int, J: int) -> np.ndarray:
@@ -459,26 +463,13 @@ def _fading(normals: np.ndarray, m: int, J: int) -> np.ndarray:
 
     numpy's normals are a prefix of any longer draw, so an m's fading is
     its stream's first m J normals (real parts) and next m J (imaginary
-    parts), as ``draw_small_scale(m, J, stream)`` draws them. Every copy
-    runs along the antennas; user k's antenna j is row k J + j.
+    parts), each laid out (m, J) as the noise is. Every copy runs along
+    the antennas; user k's antenna j is row k J + j.
     """
     L, K, _ = normals.shape
     X = np.empty((L, K, J, m), dtype=complex)
     X.real, X.imag = normals[..., : 2 * m * J].reshape(L, K, 2, m, J).transpose(2, 0, 1, 4, 3)
     return X.reshape(L, K * J, m)
-
-
-def draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> TrialDraws:
-    """Draw one trial: the beta stream, then one channel stream per (BS, user).
-
-    BER trials add one bits stream per user and one noise stream per BS;
-    noise has one slot per user antenna (the Golden code's two slots, or
-    the single-antenna model's one). Each stream is ``trial_rng`` of its key.
-    """
-    streams = _streams(cfg.master_seed, [trial], _stream_fields(cfg, ber))
-    profile, normals, bits, noise = _draw(cfg, m, ber, streams)
-    h = _fading(normals, m, cfg.antennas_per_user).reshape(cfg.L, cfg.K, -1, m).swapaxes(2, 3)
-    return TrialDraws(ChannelRealization(h, profile), bits, noise)
 
 
 def _gains(zinv: np.ndarray, z_raw: np.ndarray) -> np.ndarray:
@@ -515,14 +506,14 @@ def _block(
     betas, bits = [], []
     R, HhW = {m: [] for m in ms}, {m: [] for m in ms}
     for _ in trials:
-        profile, normals, trial_bits, noise = _draw(cfg, max(ms), ber, streams)
+        trial_betas, normals, trial_bits, noise = _draw(cfg, max(ms), ber, streams)
         for m in ms:
             X = _fading(normals, m, cfg.antennas_per_user)
             Xc = X.conj()
             R[m].append(Xc @ X.swapaxes(1, 2))
             if ber:
                 HhW[m].append(Xc @ (cfg.noise_scale * noise))
-        betas.append(profile.betas)
+        betas.append(trial_betas)
         bits.append(trial_bits)
     betas = np.stack(betas)
     sampled = [i for i, t in enumerate(trials) if t < cfg.margin_trials]

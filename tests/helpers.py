@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit: seeded system draws and loop-level oracles."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
@@ -8,13 +9,9 @@ from scipy.linalg.lapack import zpotrf, zpotrs
 from cfstbc import (
     NOISE_SNR_SCALED,
     NOISE_UNIT,
-    ChannelRealization,
     DegenerateSinrError,
     SingularMatrixError,
     detect,
-    draw_large_scale,
-    draw_noise,
-    draw_small_scale,
     encode,
     equivalent_channel,
     exact_inverse,
@@ -27,10 +24,14 @@ from cfstbc import (
     system_matched,
 )
 from cfstbc import simulate
-from cfstbc.simulate import ScenarioConfig, TrialDraws, _stream_fields, _streams, draw_trial
+from cfstbc.simulate import ScenarioConfig, _draw, _fading, _stream_fields, _streams
 from reference import (
+    ChannelRealization,
     convergence_margin,
     cpu_combine,
+    draw_large_scale,
+    draw_noise,
+    draw_small_scale,
     mmse_matrix,
     per_bs_soft,
     received_block,
@@ -52,6 +53,14 @@ def seedsequence_rng(key) -> np.random.Generator:
 
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def kernel_draw(cfg: ScenarioConfig, m: int, ber: bool, streams):
+    """``simulate._draw`` of one trial with its fading as (L, K, m, J): H_lk at [l, k]."""
+    betas, normals, bits, noise = _draw(cfg, m, ber, streams)
+    J = cfg.antennas_per_user
+    h = _fading(normals, m, J).reshape(cfg.L, cfg.K, J, m).swapaxes(2, 3)
+    return betas, h, bits, noise
 
 
 def draw_system(M: int, K: int, seed: int) -> np.ndarray:
@@ -238,7 +247,7 @@ def _build_decoder(cfg: ScenarioConfig, G, rho: float, counter: FlopCounter):
 def oracle_dual_trial(cfg, rho, trial, counter, want_margin):
     """One Golden-code block through the stacked chain; (errors, bits, margins)."""
     const = cfg.constellation
-    draws = draw_trial(cfg, cfg.M, trial)
+    draws = oracle_draw_trial(cfg, cfg.M, trial)
     channels = draws.channels
     tx_bits = draws.bits
     x = np.stack([const.modulate(tx_bits[k]) for k in range(cfg.K)])
@@ -267,7 +276,7 @@ def oracle_dual_trial(cfg, rho, trial, counter, want_margin):
 def oracle_single_trial(cfg, rho, trial, counter, want_margin):
     """One slot of the single-antenna chain; (errors, bits, margins)."""
     const = cfg.constellation
-    draws = draw_trial(cfg, cfg.M, trial)
+    draws = oracle_draw_trial(cfg, cfg.M, trial)
     channels = draws.channels
     tx_bits = draws.bits
     x = np.concatenate([const.modulate(tx_bits[k]) for k in range(cfg.K)])
@@ -296,7 +305,7 @@ def oracle_single_trial(cfg, rho, trial, counter, want_margin):
 def oracle_se_trial(cfg, m, trial, counter, want_margin):
     """Per-user SE summed over users for one realization; (se, margins)."""
     rho = cfg.rho_fixed
-    channels = draw_trial(cfg, m, trial, ber=False).channels
+    channels = oracle_draw_trial(cfg, m, trial, ber=False).channels
     a_mats, g_mats, margins = [], [], []
     dual = cfg.antennas_per_user == 2
     rho_machinery = rho if dual else 2.0 * rho
@@ -373,6 +382,14 @@ def sinr(a_mats, g_mats, rho, index, noise_term=NOISE_SNR_SCALED):
 # The oracle for ``cfstbc.simulate._chunk``, point by point.
 
 
+class TrialDraws(NamedTuple):
+    """Every random input of one trial, each drawn from its own stream."""
+
+    channels: ChannelRealization  # (L, K, M, J) fading and (L, K) gains
+    bits: np.ndarray | None  # (K, bits per user), BER trials only
+    noise: np.ndarray | None  # (L, M, J) unit-variance noise, BER trials only
+
+
 def _oracle_draw(cfg: ScenarioConfig, m: int, ber: bool, streams) -> TrialDraws:
     """One trial's draws at m, each from the next of its ``_stream_fields`` streams."""
     J = cfg.antennas_per_user
@@ -391,6 +408,15 @@ def _oracle_draw(cfg: ScenarioConfig, m: int, ber: bool, streams) -> TrialDraws:
     for l in range(cfg.L):
         noise[l] = draw_noise(m, J, next(streams))
     return TrialDraws(channels, bits, noise)
+
+
+def oracle_draw_trial(cfg: ScenarioConfig, m: int, trial: int, ber: bool = True) -> TrialDraws:
+    """One trial's draws at m, each from numpy's own stream of its key."""
+    streams = (
+        seedsequence_rng((cfg.master_seed, trial, l, k, purpose))
+        for l, k, purpose in _stream_fields(cfg, ber)
+    )
+    return _oracle_draw(cfg, m, ber, streams)
 
 
 def _oracle_block(

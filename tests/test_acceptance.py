@@ -15,7 +15,6 @@ import pytest
 from cfstbc import (
     Inversion,
     ScenarioConfig,
-    draw_small_scale,
     equivalent_channel,
     exact_inverse,
     golden_params,
@@ -27,7 +26,7 @@ from cfstbc import (
 )
 from cfstbc.cli import main as cli_main
 from helpers import draw_system, interference_noise_variance, random_complex, seeded_rng
-from reference import convergence_margin, gram, zf_matrix
+from reference import convergence_margin, draw_small_scale, gram, zf_matrix
 
 WORKERS = 2
 

@@ -1,15 +1,25 @@
+"""What a trial draws (``simulate._draw``/``_fading``) and the received-block oracle."""
+
+import itertools
+
 import numpy as np
 import pytest
 
-from cfstbc import (
+from cfstbc import ScenarioConfig
+from helpers import kernel_draw, random_complex, seeded_rng
+from reference import (
     ChannelRealization,
     LargeScaleProfile,
     draw_large_scale,
-    draw_noise,
     draw_small_scale,
+    received_block,
 )
-from helpers import random_complex, seeded_rng
-from reference import received_block
+
+
+def drawn(seed, ber=False, **fields):
+    """The kernel's (betas, h, bits, noise) of one trial, every stream one seeded generator."""
+    cfg = ScenarioConfig(**fields)
+    return kernel_draw(cfg, cfg.M, ber, itertools.repeat(seeded_rng(seed)))
 
 
 def received_block_loop(channels, codes, rho, noise, l):
@@ -45,22 +55,26 @@ def make_realization(L, K, M, J, seed, betas=None):
 
 class TestLargeScale:
     def test_single_value_in_unit_interval(self):
-        profile = draw_large_scale(1, 1, seeded_rng(0))
-        assert 0.0 <= profile.betas[0, 0] <= 1.0
+        betas = drawn(0, L=1, K=1, M=1)[0]
+        assert betas.shape == (1, 1)
+        assert 0.0 <= betas[0, 0] <= 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_non_increasing(self, seed):
-        profile = draw_large_scale(6, 9, seeded_rng(seed))
-        assert np.all(np.diff(profile.betas, axis=1) <= 0)
-        assert profile.betas.min() >= 0 and profile.betas.max() <= 1
+        betas = drawn(seed, L=6, K=9, M=1)[0]
+        assert betas.shape == (6, 9)
+        assert np.all(np.diff(betas, axis=1) <= 0)
+        assert betas.min() >= 0 and betas.max() <= 1
 
     def test_order_statistic_means(self):
-        # k-th largest of 10 uniforms has mean (11 - k) / 11
-        profile = draw_large_scale(100_000, 10, seeded_rng(42))
+        # k-th largest of 10 uniforms has mean (11 - k) / 11; the standard
+        # error of each mean over 20,000 rows is at most ~0.001
+        betas = drawn(42, L=20_000, K=10, M=1, antennas_per_user=1)[0]
         expected = (10 - np.arange(10)) / 11.0
-        np.testing.assert_allclose(profile.betas.mean(axis=0), expected, atol=0.01)
+        np.testing.assert_allclose(betas.mean(axis=0), expected, atol=0.01)
 
     def test_rejects_bad_dims(self):
+        # the oracles' one-call generator and its validated profile
         with pytest.raises(ValueError):
             draw_large_scale(0, 3, seeded_rng(0))
         with pytest.raises(ValueError):
@@ -69,37 +83,44 @@ class TestLargeScale:
 
 class TestSmallScale:
     def test_determinism(self):
-        a = draw_small_scale(32, 2, seeded_rng(7))
-        b = draw_small_scale(32, 2, seeded_rng(7))
+        a = drawn(7, L=2, K=3, M=32)[1]
+        b = drawn(7, L=2, K=3, M=32)[1]
+        assert a.shape == (2, 3, 32, 2)
         np.testing.assert_array_equal(a, b)
 
     def test_unit_variance(self):
-        h = draw_small_scale(100_000, 2, seeded_rng(1))
+        h = drawn(1, L=1, K=1, M=100_000)[1]
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
 
     def test_zero_mean(self):
-        h = draw_small_scale(100_000, 1, seeded_rng(2))
+        h = drawn(2, L=1, K=1, M=100_000, antennas_per_user=1)[1]
         assert abs(np.mean(h)) < 0.01
 
     def test_real_imag_split_variance(self):
-        h = draw_small_scale(200_000, 1, seeded_rng(3))
+        h = drawn(3, L=1, K=1, M=200_000, antennas_per_user=1)[1]
         assert abs(np.var(h.real) - 0.5) < 0.01
         assert abs(np.var(h.imag) - 0.5) < 0.01
 
 
 class TestNoise:
     def test_determinism(self):
-        np.testing.assert_array_equal(
-            draw_noise(16, 2, seeded_rng(5)), draw_noise(16, 2, seeded_rng(5))
-        )
+        a = drawn(5, ber=True, L=2, K=1, M=16)[3]
+        b = drawn(5, ber=True, L=2, K=1, M=16)[3]
+        assert a.shape == (2, 16, 2)
+        np.testing.assert_array_equal(a, b)
 
     def test_unit_variance(self):
-        w = draw_noise(100_000, 2, seeded_rng(6))
+        w = drawn(6, ber=True, L=1, K=1, M=100_000)[3]
         assert abs(np.mean(np.abs(w) ** 2) - 1.0) < 0.02
 
     def test_zero_mean(self):
-        w = draw_noise(100_000, 1, seeded_rng(8))
+        w = drawn(8, ber=True, L=1, K=1, M=100_000, antennas_per_user=1)[3]
         assert abs(np.mean(w)) < 0.01
+
+    def test_real_imag_split_variance(self):
+        w = drawn(9, ber=True, L=1, K=1, M=200_000, antennas_per_user=1)[3]
+        assert abs(np.var(w.real) - 0.5) < 0.01
+        assert abs(np.var(w.imag) - 0.5) < 0.01
 
 
 class TestReceivedBlock:

@@ -19,7 +19,7 @@ from cfstbc.cli import (
     render_csv,
     write_results,
 )
-from cfstbc.simulate import draw_trial
+from helpers import oracle_draw_trial
 from reference import convergence_margin, gram, stack_system
 
 
@@ -156,6 +156,25 @@ class TestCsvRendering:
         assert "# M = 16" in text
         assert "# master_seed = 0" in text
         assert "# inversion = exact" in text
+
+    def test_metadata_echo_parses_back_to_every_value(self):
+        cfg = ScenarioConfig(
+            master_seed=1234567, trials=10**6, rho_fixed=1 / 3,
+            snr_grid_db=(0.1234567, -4.0), m_grid=(50, 500), noise_scale=0.7, margin_trials=1234567,
+        )
+        echo = cfg.echo()
+        for name in ("L", "M", "K", "antennas_per_user", "trials", "master_seed", "margin_trials"):
+            assert float(echo[name]) == getattr(cfg, name), name
+        for name in ("rho_fixed", "noise_scale"):
+            assert float(echo[name]) == getattr(cfg, name), name
+        assert tuple(float(v) for v in echo["snr_grid_db"].split(",")) == cfg.snr_grid_db
+        assert tuple(int(v) for v in echo["m_grid"].split(",")) == cfg.m_grid
+        assert echo["master_seed"] == "1234567"
+        assert ScenarioConfig(master_seed=1234568).echo()["master_seed"] == "1234568"
+        # what :g prints exactly stays as it was, so existing result files do not change
+        plain = ScenarioConfig(snr_grid_db=(-10.0, 2.5), trials=256, noise_scale=0.0).echo()
+        assert (plain["snr_grid_db"], plain["rho_fixed"], plain["trials"]) == ("-10,2.5", "10", "256")
+        assert (plain["noise_scale"], plain["master_seed"]) == ("0", "0")
 
     def test_rows_newline_terminated(self, ber_result):
         assert render_csv(ber_result).endswith("\n")
@@ -315,10 +334,29 @@ class TestDiagMargin:
         for seed in range(50):
             assert main(["diag", "--M", str(M), "--K", str(K), "--seed", str(seed)]) in (0, 1)
             cfg = ScenarioConfig(L=1, M=M, K=K, master_seed=seed)
-            channels = draw_trial(cfg, M, 0, ber=False).channels
+            channels = oracle_draw_trial(cfg, M, 0, ber=False).channels
             G = stack_system(equivalent_channel(channels.h[0]), channels.profile.betas[0])
             assert abs(float(seen[-1][0]) - convergence_margin(gram(G))) <= 1e-12, seed
         assert len(seen) == 50
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "3"], ["--M", "16", "--K", "2", "--seed", "5"]])
+    def test_exchangeability_check_gets_the_drawn_fading(self, argv, monkeypatch):
+        # every call gets user 0's fading at BS 0, bit for bit the oracle's draw
+        seen, check = [], cli.verify_exchangeability
+
+        def recording(H, x, params):
+            seen.append(H)
+            return check(H, x, params)
+
+        monkeypatch.setattr(cli, "verify_exchangeability", recording)
+        args = cli._PARSER.parse_args(["diag", *argv])
+        assert main(["diag", *argv]) == 0
+        cfg = ScenarioConfig(L=1, M=args.M, K=args.K, master_seed=args.seed)
+        want = oracle_draw_trial(cfg, args.M, 0, ber=False).channels.h[0, 0]
+        assert len(seen) == 100
+        for H in seen:
+            assert H.shape == want.shape == (args.M, 2)
+            assert H.tobytes() == want.tobytes()
 
 
 class TestSweepThroughCli:

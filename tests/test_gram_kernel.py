@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 from cfstbc import (
     Inversion,
     ScenarioConfig,
-    draw_large_scale,
-    draw_noise,
-    draw_small_scale,
     equivalent_channel,
     slot_maps,
     system_gram,
     system_matched,
 )
 from cfstbc import simulate
-from cfstbc.simulate import PURPOSES, _fold, draw_trial
+from cfstbc.simulate import PURPOSES, _fold, _stream_fields, _streams
 from helpers import (
     FlopCounter,
+    kernel_draw,
     oracle_chunk,
     oracle_dual_trial,
     oracle_se_trial,
@@ -31,7 +29,7 @@ from helpers import (
     seeded_rng,
     seedsequence_rng,
 )
-from reference import stack_system, vec
+from reference import draw_large_scale, draw_noise, draw_small_scale, stack_system, vec
 
 
 def rel_err(a, b):
@@ -278,7 +276,8 @@ def test_fading_is_the_front_of_a_longer_draw(antennas):
     cfg = ScenarioConfig(L=3, K=2, antennas_per_user=antennas, master_seed=99)
     t, J, longest = 5, antennas, 40
     for m in (1, 7, 40):
-        h = draw_trial(cfg, m, t, ber=False).channels.h
+        streams = _streams(cfg.master_seed, [t], _stream_fields(cfg, ber=False))
+        h = kernel_draw(cfg, m, False, streams)[1]
         for l in range(cfg.L):
             for k in range(cfg.K):
                 rng = seedsequence_rng((cfg.master_seed, t, l, k, PURPOSES["channel"]))
@@ -288,7 +287,7 @@ def test_fading_is_the_front_of_a_longer_draw(antennas):
 
 
 @pytest.mark.parametrize("antennas", [1, 2])
-def test_draw_trial_reads_the_keyed_streams(antennas):
+def test_draw_reads_the_keyed_streams(antennas):
     """Every draw is numpy's own stream of its (seed, trial, BS, user, purpose) key."""
     cfg = ScenarioConfig(
         L=3, M=12, K=2, antennas_per_user=antennas, master_seed=99,
@@ -299,23 +298,28 @@ def test_draw_trial_reads_the_keyed_streams(antennas):
     def rng(l, k, purpose):
         return seedsequence_rng((seed, t, l, k, PURPOSES[purpose]))
 
-    draws = draw_trial(cfg, cfg.M, t)
-    betas = draw_large_scale(cfg.L, cfg.K, rng(0, 0, "beta")).betas
-    np.testing.assert_array_equal(draws.channels.profile.betas, betas)
+    def draw(ber):
+        return kernel_draw(cfg, cfg.M, ber, _streams(seed, [t], _stream_fields(cfg, ber)))
+
+    betas, h, bits, noise = draw(ber=True)
+    want = draw_large_scale(cfg.L, cfg.K, rng(0, 0, "beta")).betas
+    np.testing.assert_array_equal(betas, want)
+    assert noise.shape == (cfg.L, cfg.M, J)
     for l in range(cfg.L):
         for k in range(cfg.K):
             want = draw_small_scale(cfg.M, J, rng(l, k, "channel"))
-            np.testing.assert_array_equal(draws.channels.h[l, k], want)
+            np.testing.assert_array_equal(h[l, k], want)
         want = draw_noise(cfg.M, J, rng(l, 0, "noise"))
-        np.testing.assert_array_equal(draws.noise[l], want)
+        np.testing.assert_array_equal(noise[l], want)
     per_user = cfg.bits_per_trial() // cfg.K
     for k in range(cfg.K):
         want = rng(0, k, "bits").integers(0, 2, size=per_user)
-        np.testing.assert_array_equal(draws.bits[k], want)
-    assert draws.bits.dtype == np.uint8
-    se_draws = draw_trial(cfg, cfg.M, t, ber=False)
-    assert se_draws.bits is None and se_draws.noise is None
-    np.testing.assert_array_equal(se_draws.channels.h, draws.channels.h)
+        np.testing.assert_array_equal(bits[k], want)
+    assert bits.dtype == np.uint8
+    se_betas, se_h, se_bits, se_noise = draw(ber=False)
+    assert se_bits is None and se_noise is None
+    np.testing.assert_array_equal(se_betas, betas)
+    np.testing.assert_array_equal(se_h, h)
 
 
 def _hexed_piece(piece, ber):

@@ -37,12 +37,11 @@ from cfstbc.simulate import (
     PURPOSES,
     _streams,
     desk_ber_config,
-    draw_trial,
     full_ber_config,
     se_sweep_config,
     stream_states,
 )
-from helpers import seedsequence_rng
+from helpers import oracle_draw_trial, seedsequence_rng
 
 
 class TestTrialRng:
@@ -390,7 +389,9 @@ class TestSeSweep:
         )
         points = run_se_sweep(cfg, workers=2).points
         scale = 1.0 if noise_term == NOISE_SNR_SCALED else cfg.rho_fixed
-        betas = [draw_trial(cfg, K, t, ber=False).channels.profile.betas[0] for t in range(trials)]
+        betas = [
+            oracle_draw_trial(cfg, K, t, ber=False).channels.profile.betas[0] for t in range(trials)
+        ]
         gains = scale * np.square(betas)  # (trials, K)
         for m, point in zip(grid, points):
             # the weight x^(m-K) e^-x is the Gamma(m - K + 1, 1) density up to a constant
