@@ -2,7 +2,9 @@
 
 Exact inversion of Hermitian positive definite matrices behind a Cholesky
 check, truncated Neumann-series approximate inversion, and the series'
-spectral convergence margin from one Hermitian eigen-solve.
+spectral convergence margin from one Hermitian eigen-solve. A loaded route
+factors Z once and returns solve(a, Y): for (P,) loadings a and (..., n, P)
+columns Y, the columns of (Z + aI)^-1 Y and of diag((Z + aI)^-1 Z).
 
 Matrices are plain complex ndarrays. The inversion routines,
 :func:`split_diag` and :func:`convergence_margins` take a stack of shape
@@ -158,6 +160,59 @@ def neumann_r2(Z: np.ndarray) -> np.ndarray:
     dinv = 1.0 / split.diagonal
     out = -((dinv[..., :, None] * split.E) * dinv[..., None, :])
     return _with_diagonal(out, dinv)
+
+
+def per_loading(invert, Z: np.ndarray):
+    """The loaded route that calls ``invert`` on Z + aI once for each loading."""
+
+    def solve(a, Y):
+        eye, soft, gains = np.eye(Z.shape[-1]), [], []
+        for p, a_p in enumerate(a):
+            inv = invert(Z + a_p * eye)
+            soft.append((inv @ Y[..., p, None])[..., 0])
+            gains.append(np.einsum("...ij,...ji->...i", inv, Z))
+        return np.stack(soft, axis=-1), np.stack(gains, axis=-1)
+
+    return solve
+
+
+def exact_loaded(Z: np.ndarray):
+    """The exact loaded route from one eigen-solve Z = U diag(lam) U^H.
+
+    (Z + aI)^-1 Y = U (U^H Y / (lam + a)) and diag((Z + aI)^-1 Z) = |U|^2 (lam / (lam + a)).
+    A non-finite or nonpositive lam + a falls back to :func:`exact_inverse`, and its error.
+    """
+    Z = _square_stack(Z)
+    # eigh reads one triangle, and may not converge on a non-finite entry
+    lam, U = np.linalg.eigh(Z) if np.isfinite(Z).all() else (np.full(Z.shape[:-1], np.nan), Z)
+    Uh, weights = U.conj().swapaxes(-1, -2), U.real**2 + U.imag**2
+
+    def solve(a, Y):
+        shifted = lam[..., None] + a
+        if not (np.isfinite(shifted).all() and (shifted > 0).all()):
+            return per_loading(exact_inverse, Z)(a, Y)
+        return U @ ((Uh @ Y) / shifted), weights @ (lam[..., None] / shifted)
+
+    return solve
+
+
+def neumann_r2_loaded(Z: np.ndarray):
+    """The ``neumann_r2`` loaded route from one split Z = diag(d) + E of a Gram stack.
+
+    With dinv = 1/(d + a), a > 0: (Z + aI)^-1 Y = dinv Y - dinv (E (dinv Y)) and
+    diag((Z + aI)^-1 Z) = dinv (d - (E o E^T) dinv), o the entrywise product.
+    """
+    Z = _square_stack(Z)
+    d = np.diagonal(Z, axis1=-2, axis2=-1)[..., None]
+    E = _with_diagonal(Z.copy(), 0.0)
+    EEt = E * E.swapaxes(-1, -2)
+
+    def solve(a, Y):
+        dinv = 1.0 / (d + a)
+        DY = dinv * Y
+        return DY - dinv * (E @ DY), dinv * (d - EEt @ dinv)
+
+    return solve
 
 
 def convergence_margins(Z: np.ndarray) -> np.ndarray:

@@ -136,6 +136,14 @@ class Inversion:
             return linalg.neumann_r2(Z)
         return linalg.neumann_inverse(Z, self.order)
 
+    def loaded(self, Z: np.ndarray):
+        """This inversion of Z + aI at many loadings a, as a ``linalg`` loaded route."""
+        if self.method == "exact":
+            return linalg.exact_loaded(Z)
+        if self.order == 2:
+            return linalg.neumann_r2_loaded(Z)
+        return linalg.per_loading(self.invert, Z)
+
     def ops(self, n: int) -> tuple[int, int, int]:
         """Complex (multiplies, divides, adds) to invert one n x n matrix.
 
@@ -177,18 +185,18 @@ class DecoderMatrix:
 def detect(
     r: np.ndarray,
     combined_gain: np.ndarray,
-    rho: float,
+    rho: float | np.ndarray,
     constellation: Constellation,
 ) -> np.ndarray:
     """Nearest-point decision: argmin_x |r - sqrt(rho/2) x g|, per entry.
 
     Ties resolve to the lowest constellation index. Works on scalars or
-    arrays elementwise.
+    arrays elementwise; an array ``rho`` broadcasts against ``r``.
     """
     r = np.asarray(r, dtype=complex)
     g = np.asarray(combined_gain, dtype=complex)
     if not np.all(np.isfinite(g)):
         raise ValueError("combined gain must be finite")
-    candidates = np.sqrt(rho / 2.0) * g[..., None] * constellation.points
+    candidates = np.sqrt(np.asarray(rho) / 2.0)[..., None] * g[..., None] * constellation.points
     idx = np.argmin(np.abs(r[..., None] - candidates), axis=-1)
     return constellation.points[idx]

@@ -23,11 +23,11 @@ paid once per block rather than once per trial.
 
 No stream key holds the SNR or M, so a job, a range of trials, is drawn
 once and decoded at every grid point (common random numbers). BER points
-also share the fading products, Grams and, under ZF, inverses and margins.
-SE points take their fading from the front of one draw at the largest M,
-which equals their own M-sized draw. Each point's values are added in
-trial order as a one-point sweep adds them, so sharing changes no output
-bit.
+also share the fading products and each Gram's factorization, and are
+decoded in one stacked pass (see ``_block``). SE points take their fading
+from the front of one draw at the largest M, which equals their own
+M-sized draw. Each point's values are added in trial order as a one-point
+sweep adds them, so sharing changes no output bit.
 
 A process keeps one pool of worker processes for all its parallel sweeps
 (see ``_sweep``). The workers are forked by the first sweep that needs
@@ -472,11 +472,6 @@ def _fading(normals: np.ndarray, m: int, J: int) -> np.ndarray:
     return X.reshape(L, K * J, m)
 
 
-def _gains(zinv: np.ndarray, z_raw: np.ndarray) -> np.ndarray:
-    """Each trial's detector gains: the sum over BSs of diag(A_l G_l) = diag(Z_l^-1 Z_raw,l)."""
-    return np.einsum("tlij,tlji->ti", zinv, z_raw)
-
-
 def _block(
     cfg: ScenarioConfig,
     maps: np.ndarray,
@@ -495,13 +490,20 @@ def _block(
     from the job's next ``streams``. With X = H^T as ``_fading`` cuts it,
     R = conj(X) X^T and H^H W = conj(X) W.
     R, H^H W and Z are formed once per distinct m and serve every point
-    with that m; so do the ZF inverse and margins. Each point's piece gets
-    the per-trial values to add up (one bit-error count for the whole
-    block, or each trial's SE summed over users) and each margin-sampled
-    trial's margin sum over the BSs. Operation counts are not tallied here:
-    a point's follow from the trial count (see ``_point_stats``).
+    with that m; so do the ZF inverse and margins. BER points share each
+    Gram's factorization: the ZF inverse, the MMSE exact eigen-solve or the
+    MMSE ``neumann:2`` split serves every loading 2/rho at O(n^2) a Gram
+    (``Inversion.loaded``), and other Neumann orders invert per point. The
+    points are then decoded together, in stacks of rho that keep each array
+    within ``BLOCK_ELEMENTS``. MMSE margins, and each SE point's MMSE
+    inverse, are solved per point. Each point's piece gets the per-trial
+    values to add up (one bit-error count for the whole block, or each
+    trial's SE summed over users) and each margin-sampled trial's margin
+    sum over the BSs. Operation counts are not tallied here: a point's
+    follow from the trial count (see ``_point_stats``) and still charge it
+    the receiver's own inversion.
     """
-    dual = cfg.antennas_per_user == 2
+    dual, zf = cfg.antennas_per_user == 2, cfg.decoder == "zf"
     ms = list(dict.fromkeys(m for m, _ in points))
     betas, bits = [], []
     R, HhW = {m: [] for m in ms}, {m: [] for m in ms}
@@ -518,18 +520,15 @@ def _block(
     betas = np.stack(betas)
     sampled = [i for i, t in enumerate(trials) if t < cfg.margin_trials]
 
-    def inverse(Z: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        margins = []
-        if sampled:
-            # one eigen-solve over the sampled (S, L, n, n) stack; each
-            # trial's margins are then added in BS order
-            margins = [sum(row) for row in convergence_margins(Z[sampled]).tolist()]
-        return cfg.inversion.invert(Z), margins
+    def margins(Z: np.ndarray) -> list[float]:
+        # one eigen-solve over the sampled (S, L, n, n) stack; each trial's
+        # margins are then added in BS order
+        return [sum(row) for row in convergence_margins(Z).tolist()] if sampled else []
 
     if ber:
         const = cfg.constellation
-        tx_bits = np.stack(bits)
-        x = const.modulate(tx_bits.reshape(-1)).reshape(len(trials), cfg.K, -1)
+        tx_bits = np.stack(bits).reshape(-1)
+        x = const.modulate(tx_bits).reshape(len(trials), cfg.K, -1)
         codes = encode(x) if dual else x[..., None]  # (trials, K, J, T)
         slots = codes.shape[-1]
         sent = (betas[..., None, None] * codes[:, None]).reshape(len(trials), cfg.L, -1, slots)
@@ -537,22 +536,21 @@ def _block(
     for m in ms:
         R_m = np.stack(R.pop(m))
         z_raw = system_gram(R_m, betas, maps)  # (trials, L, n, n)
-        if ber:
-            R_sent, HhW_m = R_m @ sent, np.stack(HhW.pop(m))
-        if cfg.decoder == "zf":
-            zinv, margins = inverse(z_raw)
-            if ber:
-                gains = _gains(zinv, z_raw)
-        for (point_m, rho), (values, point_margins) in zip(points, pieces):
-            if point_m != m:
-                continue
-            rho_eff = rho if dual else 2.0 * rho
-            if cfg.decoder == "mmse":
-                zinv, margins = inverse(z_raw + (2.0 / rho_eff) * np.eye(z_raw.shape[-1]))
-                if ber:
-                    gains = _gains(zinv, z_raw)
-            point_margins.extend(margins)
-            if not ber:
+        n = z_raw.shape[-1]
+        eye = np.eye(n)
+        at_m = [(rho if dual else 2.0 * rho, p) for (pm, rho), p in zip(points, pieces) if pm == m]
+        if zf:
+            zf_margins, zinv = margins(z_raw[sampled]), cfg.inversion.invert(z_raw)
+        for rho_eff, (_, sums) in at_m:  # each sampled trial's margin sum
+            sums.extend(zf_margins if zf else margins(z_raw[sampled] + (2.0 / rho_eff) * eye))
+        if not ber:
+            for rho_eff, (values, _) in at_m:
+                if not zf:
+                    loading = 2.0 / rho_eff
+                    # times a power of two near the loading, which is exact and
+                    # keeps A G from underflowing at a tiny rho
+                    scale = np.ldexp(1.0, np.frexp(loading)[1])
+                    zinv = cfg.inversion.invert(z_raw + loading * eye) * scale
                 ag = zinv @ z_raw  # A G per BS
                 # diag(A A^H). np.multiply, not `*`: on a large block the operator
                 # reuses the conj temporary in place and rounds differently.
@@ -564,11 +562,25 @@ def _block(
                     values.extend(np.cumsum(per_user, axis=-1)[:, -1].tolist())
                 else:
                     values.extend(np.sum(np.log2(1.0 + streams), axis=-1).tolist())
-            else:
-                HhY = np.sqrt(rho_eff / 2.0) * R_sent + HhW_m
-                soft = np.einsum("tlij,tlj->ti", zinv, system_matched(HhY, betas, maps))
-                rx_bits = const.demodulate(detect(soft, gains, rho_eff, const))
-                values.append(int(np.count_nonzero(rx_bits != tx_bits.reshape(-1))))
+            continue
+        if zf:
+            gains = np.einsum("tlij,tlji->tli", zinv, z_raw)[..., None]  # diag(A_l G_l)
+        else:
+            solve = cfg.inversion.loaded(z_raw)
+        R_sent, HhW_m = R_m @ sent, np.stack(HhW.pop(m))
+        stack = max(1, BLOCK_ELEMENTS // (len(trials) * n * max(cfg.L, len(const.points))))
+        for lo in range(0, len(at_m), stack):
+            stacked = at_m[lo : lo + stack]
+            rho = np.array([rho_eff for rho_eff, _ in stacked])
+            HhY = np.sqrt(rho / 2.0)[:, None, None, None, None] * R_sent + HhW_m
+            mf = system_matched(HhY, betas, maps)  # (rho, trials, L, n)
+            Y = np.moveaxis(mf, 0, -1)  # (trials, L, n, rho), as are soft and gains
+            soft, g = (zinv @ Y, gains) if zf else solve(2.0 / rho, Y)
+            soft, g = (np.moveaxis(v.sum(axis=1), -1, 0) for v in (soft, g))
+            rx_bits = const.demodulate(detect(soft, g, rho[:, None, None], const))
+            errors = np.count_nonzero(rx_bits.reshape(len(rho), -1) != tx_bits, axis=1)
+            for count, (_, (values, _)) in zip(errors.tolist(), stacked):
+                values.append(count)
 
 
 def _chunk(

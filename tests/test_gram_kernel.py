@@ -237,6 +237,38 @@ def test_multi_rho_chunk_matches_one_rho_oracle(
 
 
 @pytest.mark.parametrize("decoder", ["zf", "mmse"])
+@pytest.mark.parametrize("inversion", ["exact", "neumann:2", "neumann:3"])
+@pytest.mark.parametrize("antennas", [2, 1], ids=["dual", "single"])
+def test_snr_grid_split_into_rho_stacks_matches_one_rho_oracle(
+    monkeypatch, decoder, inversion, antennas
+):
+    """A block's SNR points decoded in several stacks of rho equal the one-SNR kernel.
+
+    ``BLOCK_ELEMENTS`` is cut below one trial's Grams, so each block is one
+    trial and each stack holds 4 of the 11 SNR points, the last 3.
+    """
+    cfg = _config(decoder, inversion, antennas, L=4, M=64, K=4, master_seed=62, margin_trials=5)
+    n = slot_maps(cfg.K, antennas).shape[-1]
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 4 * n * max(cfg.L, 4))
+    stacks = []
+
+    def matched(HhY, betas, maps):
+        assert HhY.size <= simulate.BLOCK_ELEMENTS
+        stacks.append(len(HhY))
+        return system_matched(HhY, betas, maps)
+
+    monkeypatch.setattr(simulate, "system_matched", matched)
+    snrs_db = tuple(float(v) for v in range(-10, 12, 2))
+    rhos = tuple(10.0 ** (v / 10.0) for v in snrs_db)
+    chunks = _chunk(cfg, [(cfg.M, rho) for rho in rhos], 1, 9, ber=True)
+    assert stacks == [4, 4, 3] * 8
+    for snr_db, rho, chunk in zip(snrs_db, rhos, chunks):
+        assert _hexed(chunk) == _hexed(oracle_chunk(cfg, cfg.M, rho, 1, 9, ber=True)), snr_db
+    assert chunks[0]["total"] > 0, "no bit errors; the comparison is vacuous"
+    assert chunks[0]["margin_count"] == cfg.L * 4
+
+
+@pytest.mark.parametrize("decoder", ["zf", "mmse"])
 @pytest.mark.parametrize("inversion", ["exact", "neumann:2"])
 @pytest.mark.parametrize("antennas", [2, 1], ids=["dual", "single"])
 def test_multi_m_chunk_matches_one_m_oracle(monkeypatch, decoder, inversion, antennas):

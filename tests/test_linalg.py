@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfstbc import linalg
 from cfstbc import (
     DegenerateSplitError,
     Inversion,
@@ -20,7 +21,9 @@ from helpers import (
     draw_system,
     gram_loop,
     oracle_exact_inverse,
+    random_complex,
     random_hpd,
+    seeded_rng,
 )
 from reference import convergence_margin, gram
 
@@ -386,6 +389,73 @@ class TestStackedInversion:
     def test_margin_takes_one_matrix(self):
         with pytest.raises(ValueError, match="one matrix"):
             convergence_margin(_hpd_stack(3, seed=1, count=2))
+
+
+LOADINGS = np.geomspace(1e-3, 1e3, 7)
+
+
+def _per_loading_oracle(invert, Z, loadings, Y):
+    """Each loading's (Z + aI)^-1 y and diag((Z + aI)^-1 Z), inverting Z + aI."""
+    soft, gains = [], []
+    for p, a in enumerate(loadings):
+        inv = invert(Z + a * np.eye(Z.shape[-1]))
+        soft.append(np.einsum("...ij,...j->...i", inv, Y[..., p]))
+        gains.append(np.einsum("...ij,...ji->...i", inv, Z))
+    return np.stack(soft, axis=-1), np.stack(gains, axis=-1)
+
+
+class TestLoadedRoutes:
+    """One factorization of Z serves Z + aI at every loading a."""
+
+    @pytest.mark.parametrize("n", [4, 16, 40])
+    @pytest.mark.parametrize(
+        "route,invert",
+        [(linalg.exact_loaded, exact_inverse), (linalg.neumann_r2_loaded, neumann_r2)],
+        ids=["exact", "neumann_r2"],
+    )
+    def test_matches_inverting_each_loaded_gram(self, n, route, invert):
+        Z = _hpd_stack(n, seed=20 + n, count=6).reshape(3, 2, n, n)
+        Y = random_complex(seeded_rng(n), 3, 2, n, len(LOADINGS))
+        soft, gains = route(Z)(LOADINGS, Y)
+        want_soft, want_gains = _per_loading_oracle(invert, Z, LOADINGS, Y)
+        assert soft.shape == gains.shape == Y.shape
+        for p in range(len(LOADINGS)):
+            for got, want in ((soft, want_soft), (gains, want_gains)):
+                err = np.abs(got[..., p] - want[..., p]).max()
+                assert err <= 1e-12 * np.abs(want[..., p]).max(), (p, LOADINGS[p])
+
+    def test_other_orders_invert_per_loading(self):
+        Z = _hpd_stack(6, seed=4, count=2)
+        Y = random_complex(seeded_rng(4), 2, 6, len(LOADINGS))
+        inversion = Inversion.neumann(3)
+        got = inversion.loaded(Z)(LOADINGS, Y)
+        want = _per_loading_oracle(inversion.invert, Z, LOADINGS, Y)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14 * np.abs(w).max())
+
+    @pytest.mark.parametrize(
+        "row,col,value",
+        [(2, 2, np.nan), (3, 1, np.nan), (1, 1, np.inf), (3, 0, np.inf), (4, 2, -np.inf)],
+    )
+    def test_exact_route_reports_the_pivot_of_a_non_finite_gram(self, row, col, value):
+        Z = _hpd_stack(5, seed=3, count=4)
+        Z[2, row, col] = value
+        Z[2, col, row] = np.conj(value)
+        with pytest.raises(SingularMatrixError) as want:
+            exact_inverse(Z + LOADINGS[0] * np.eye(5))
+        solve = linalg.exact_loaded(Z)
+        with pytest.raises(SingularMatrixError) as err:
+            solve(LOADINGS, np.ones((4, 5, len(LOADINGS)), dtype=complex))
+        assert err.value.pivot == want.value.pivot
+
+    def test_exact_route_reports_a_loading_too_small_for_a_negative_eigenvalue(self):
+        Z = np.diag([3.0, 2.0, -1.0, 4.0]).astype(complex)
+        solve = linalg.exact_loaded(Z)
+        soft, _ = solve(np.array([2.0]), np.ones((4, 1), dtype=complex))
+        np.testing.assert_allclose(soft[:, 0], 1.0 / np.array([5.0, 4.0, 1.0, 6.0]))
+        with pytest.raises(SingularMatrixError) as err:
+            solve(np.array([2.0, 0.5]), np.ones((4, 2), dtype=complex))
+        assert err.value.pivot == 2
 
 
 class TestFlopOrdering:

@@ -368,6 +368,19 @@ class TestSeSweep:
                 for point in run_se_sweep(cfg, workers=workers).points:
                     assert (point.complex_mults, point.complex_divs, point.complex_adds) == want
 
+    def test_mmse_at_a_tiny_rho_keeps_its_se(self, tmp_path):
+        """Under the snr-scaled noise term SE does not depend on rho, so an MMSE
+        point whose loading 2/rho is huge must not underflow A G to zero."""
+        rows = {}
+        for rho in ("1e-100", "1e-150", "1e-200", "1e-300"):
+            out = tmp_path / f"{rho}.csv"
+            argv = f"se --decoder mmse --rho {rho} --M-grid 8 --K 1 --L 1 --trials 2 --quiet"
+            assert cli.main(argv.split() + ["--out", str(out)]) == 0, rho
+            rows[rho] = out.read_text().splitlines()[-1].split(",")
+        assert rows["1e-100"][:3] == ["8", "2.101076696", "2.101076696"]
+        for rho, row in rows.items():
+            assert row[:3] == rows["1e-100"][:3], rho
+
     @pytest.mark.parametrize("noise_term", [NOISE_SNR_SCALED, NOISE_UNIT])
     def test_exact_zf_matches_the_gamma_oracle(self, noise_term):
         """One BS, exact ZF, single-antenna users: G = H diag(beta) with H
