@@ -23,6 +23,7 @@ from .golden import (
     golden_params,
     slot_maps,
     system_gram,
+    system_inverse_diagonal,
     system_matched,
     verify_exchangeability,
 )
@@ -41,6 +42,7 @@ from .metrics import (
     NOISE_UNIT,
     BerEstimate,
     DegenerateSinrError,
+    sinr_from_powers,
     sinr_from_products,
     spectral_efficiency,
 )

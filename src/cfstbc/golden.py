@@ -10,7 +10,10 @@ would give the full receive matrix G of one BS.
 Because the rewrite is linear with fixed per-slot coefficients, the
 decoders' inputs G^H G and G^H vec(Y) follow from the small fading
 products H^H H and H^H Y (:func:`system_gram`, :func:`system_matched`);
-the simulator works in that Gram domain and never forms G.
+the simulator works in that Gram domain and never forms G. The code's
+slot maps stacked over the slots are unitary, so the diagonal of the
+system Gram's inverse follows from the inverse of H^H H alone
+(:func:`system_inverse_diagonal`).
 """
 
 from __future__ import annotations
@@ -107,6 +110,21 @@ def system_gram(R: np.ndarray, betas: np.ndarray, maps: np.ndarray) -> np.ndarra
     Z = sum(C.conj().T @ R @ C for C in maps)
     cols = np.repeat(betas, maps.shape[-1] // betas.shape[-1], axis=-1)
     return cols[..., :, None] * Z * cols[..., None, :]
+
+
+def system_inverse_diagonal(
+    R_inv: np.ndarray, betas: np.ndarray, maps: np.ndarray
+) -> np.ndarray:
+    """diag(Z^-1) of the stacked system from the fading Gram's inverse R^-1, (..., S*K).
+
+    Stacked over the slots, the maps form a unitary C = [C_1; ...; C_T], so
+    Z = B C^H (I (x) R) C B, with B the diagonal of the user gains, gives
+    diag(Z^-1) = beta^-2 (.) sum_s diag(C_s^H R^-1 C_s): the 2K x 2K inverse
+    of R serves the 4K x 4K system.
+    """
+    diag = sum(np.sum(C.conj() * (R_inv @ C), axis=-2) for C in maps).real
+    cols = np.repeat(betas, maps.shape[-1] // betas.shape[-1], axis=-1)
+    return diag / (cols * cols)
 
 
 def system_matched(HhY: np.ndarray, betas: np.ndarray, maps: np.ndarray) -> np.ndarray:

@@ -3,8 +3,11 @@
 The SINR of symbol stream k(i) = 4(k-1) + i sums desired power, residual
 interference, and noise amplification across base stations, each BS taken
 separately; :func:`sinr_from_products` takes each BS's A G and noise gains
-from the Gram domain. Two noise-scaling conventions are supported for the
-interference-plus-noise variance:
+from the Gram domain, and :func:`sinr_from_powers` turns the summed powers
+into SINRs. Under exact ZF, A G = I, so the desired power is the BS count,
+the interference is 0 and the noise is the sum of each BS's diag(Z^-1).
+Two noise-scaling conventions are supported for the interference-plus-noise
+variance:
 
 * ``"snr-scaled"`` (default): the whole denominator, noise included, is
   multiplied by rho/2 -- the form the rate results in this line of work
@@ -69,6 +72,22 @@ def spectral_efficiency(sinrs: Sequence[float]) -> float | np.ndarray:
     return 0.5 * np.sum(np.log2(1.0 + sinrs), axis=-1)
 
 
+def sinr_from_powers(
+    desired, interference, noise, rho: float, noise_term: str = NOISE_SNR_SCALED
+) -> np.ndarray:
+    """SINR of every stream from its desired, interference and noise powers,
+    each already summed over the BSs, under ``noise_term``."""
+    if noise_term not in _NOISE_TERMS:
+        raise ValueError(f"noise_term must be one of {_NOISE_TERMS}")
+    if noise_term == NOISE_SNR_SCALED:
+        denom = rho / 2.0 * (interference + noise)
+    else:
+        denom = rho / 2.0 * interference + noise
+    if np.any(denom == 0.0):
+        raise DegenerateSinrError("zero interference-plus-noise power")
+    return rho / 2.0 * desired / denom
+
+
 def sinr_from_products(
     ag_mats: Sequence[np.ndarray],
     noise_gains: Sequence[np.ndarray],
@@ -82,8 +101,6 @@ def sinr_from_products(
     ``ag_mats`` is (..., L, n, n) and ``noise_gains`` (..., L, n) over the L
     BSs; the leading axes are kept, and the BSs are summed in order.
     """
-    if noise_term not in _NOISE_TERMS:
-        raise ValueError(f"noise_term must be one of {_NOISE_TERMS}")
     ag_mats = np.asarray(ag_mats)
     noise_gains = np.asarray(noise_gains)
     desired = np.zeros(ag_mats.shape[:-3] + ag_mats.shape[-1:])
@@ -95,10 +112,4 @@ def sinr_from_products(
         desired += diag
         interference += P.sum(axis=-1) - diag
         noise += noise_gains[..., l, :]
-    if noise_term == NOISE_SNR_SCALED:
-        denom = rho / 2.0 * (interference + noise)
-    else:
-        denom = rho / 2.0 * interference + noise
-    if np.any(denom == 0.0):
-        raise DegenerateSinrError("zero interference-plus-noise power")
-    return rho / 2.0 * desired / denom
+    return sinr_from_powers(desired, interference, noise, rho, noise_term)

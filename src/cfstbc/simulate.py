@@ -26,8 +26,11 @@ once and decoded at every grid point (common random numbers). BER points
 also share the fading products and each Gram's factorization, and are
 decoded in one stacked pass (see ``_block``). SE points take their fading
 from the front of one draw at the largest M, which equals their own
-M-sized draw. Each point's values are added in trial order as a one-point
-sweep adds them, so sharing changes no output bit.
+M-sized draw. Exact ZF SE points invert no system Gram: A G = I, so the
+SINR needs only diag(Z^-1), which the fading Gram's 2K x 2K inverse gives
+(``golden.system_inverse_diagonal``). Each point's values are added in
+trial order as a one-point sweep adds them, so sharing changes no output
+bit.
 
 A process keeps one pool of worker processes for all its parallel sweeps
 (see ``_sweep``). The workers are forked by the first sweep that needs
@@ -56,12 +59,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .golden import encode, slot_maps, system_gram, system_matched
-from .linalg import convergence_margins
+from .golden import encode, slot_maps, system_gram, system_inverse_diagonal, system_matched
+from .linalg import SingularMatrixError, convergence_margins
 from .metrics import (
     _NOISE_TERMS,
     NOISE_SNR_SCALED,
     BerEstimate,
+    sinr_from_powers,
     sinr_from_products,
     spectral_efficiency,
 )
@@ -496,7 +500,12 @@ def _block(
     (``Inversion.loaded``), and other Neumann orders invert per point. The
     points are then decoded together, in stacks of rho that keep each array
     within ``BLOCK_ELEMENTS``. MMSE margins, and each SE point's MMSE
-    inverse, are solved per point. Each point's piece gets the per-trial
+    inverse, are solved per point. Exact ZF SE inverts R instead of Z:
+    with A G = I the SINR has desired power L, no interference and noise
+    sum_l diag(Z_l^-1), read off R^-1 through the code's unitary slot maps,
+    and Z is formed only for the margin-sampled trials. A singular R, or a
+    zero user gain, sends the point through Z's inversion, whose error then
+    names Z's pivot. Each point's piece gets the per-trial
     values to add up (one bit-error count for the whole block, or each
     trial's SE summed over users) and each margin-sampled trial's margin
     sum over the BSs. Operation counts are not tallied here: a point's
@@ -533,12 +542,35 @@ def _block(
         slots = codes.shape[-1]
         sent = (betas[..., None, None] * codes[:, None]).reshape(len(trials), cfg.L, -1, slots)
 
+    def se_values(sinrs: np.ndarray) -> list[float]:  # each trial's SE summed over users
+        if dual:
+            # a running sum adds the users in order; np.sum would pair them
+            per_user = spectral_efficiency(sinrs.reshape(len(trials), cfg.K, 4))
+            return np.cumsum(per_user, axis=-1)[:, -1].tolist()
+        return np.sum(np.log2(1.0 + sinrs), axis=-1).tolist()
+
+    closed_form = not ber and zf and cfg.inversion.method == "exact" and betas.all()
     for m in ms:
         R_m = np.stack(R.pop(m))
+        at_m = [(rho if dual else 2.0 * rho, p) for (pm, rho), p in zip(points, pieces) if pm == m]
+        z_inv_diag = None
+        if closed_form:  # exact ZF SE: A G = I, and diag(Z^-1) comes from R^-1
+            try:
+                z_inv_diag = system_inverse_diagonal(cfg.inversion.invert(R_m), betas, maps)
+            except SingularMatrixError:  # so is Z: its own inversion below raises its pivot
+                pass
+        if z_inv_diag is not None:
+            zf_margins = margins(system_gram(R_m[sampled], betas[sampled], maps)) if sampled else []
+            # the BSs added in order, as sinr_from_products adds them
+            noise = sum(z_inv_diag[:, l] for l in range(cfg.L))
+            for rho_eff, (values, sums) in at_m:
+                sums.extend(zf_margins)
+                sinrs = sinr_from_powers(cfg.L, 0.0, noise, rho_eff, cfg.noise_term)
+                values.extend(se_values(sinrs))
+            continue
         z_raw = system_gram(R_m, betas, maps)  # (trials, L, n, n)
         n = z_raw.shape[-1]
         eye = np.eye(n)
-        at_m = [(rho if dual else 2.0 * rho, p) for (pm, rho), p in zip(points, pieces) if pm == m]
         if zf:
             zf_margins, zinv = margins(z_raw[sampled]), cfg.inversion.invert(z_raw)
         for rho_eff, (_, sums) in at_m:  # each sampled trial's margin sum
@@ -555,13 +587,8 @@ def _block(
                 # diag(A A^H). np.multiply, not `*`: on a large block the operator
                 # reuses the conj temporary in place and rounds differently.
                 noise = np.sum(np.multiply(ag, zinv.conj()), axis=-1).real
-                streams = sinr_from_products(ag, noise, rho_eff, cfg.noise_term)
-                if dual:
-                    # a running sum adds the users in order; np.sum would pair them
-                    per_user = spectral_efficiency(streams.reshape(len(trials), cfg.K, 4))
-                    values.extend(np.cumsum(per_user, axis=-1)[:, -1].tolist())
-                else:
-                    values.extend(np.sum(np.log2(1.0 + streams), axis=-1).tolist())
+                sinrs = sinr_from_products(ag, noise, rho_eff, cfg.noise_term)
+                values.extend(se_values(sinrs))
             continue
         if zf:
             gains = np.einsum("tlij,tlji->tli", zinv, z_raw)[..., None]  # diag(A_l G_l)
@@ -962,8 +989,8 @@ def desk_ber_config(**overrides) -> ScenarioConfig:
 def full_ber_config(**overrides) -> ScenarioConfig:
     """Large BER scenario (M=256, K=10), not run in CI.
 
-    One curve is 2,500 trials at each of 11 SNRs: about 7-8 s serial and
-    4-4.5 s with two workers on a 2-vCPU VM (README gives the command).
+    One curve is 2,500 trials at each of 11 SNRs: about 4-5.5 s serial and
+    2.8-3.2 s with two workers on a 2-vCPU VM (README gives the command).
     """
     base = ScenarioConfig(
         L=4,

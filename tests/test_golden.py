@@ -8,7 +8,11 @@ from cfstbc import (
     QAM4,
     encode,
     equivalent_channel,
+    exact_inverse,
     golden_params,
+    slot_maps,
+    system_gram,
+    system_inverse_diagonal,
     verify_exchangeability,
 )
 from helpers import random_complex, seeded_rng
@@ -181,6 +185,38 @@ class TestStackSystem:
     def test_rejects_bad_beta_length(self):
         with pytest.raises(ValueError):
             stack_system(random_complex(seeded_rng(11), 2, 8, 4), np.ones(3))
+
+
+class TestSystemInverseDiagonal:
+    """diag(Z^-1) from R^-1 rests on the slot maps, stacked over the slots, being unitary."""
+
+    @pytest.mark.parametrize("J", [1, 2])
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_stacked_slot_maps_are_unitary(self, J, K):
+        C = np.concatenate(list(slot_maps(K, J)))
+        n = K * (4 if J == 2 else 1)
+        assert C.shape == (n, n)
+        np.testing.assert_allclose(C.conj().T @ C, np.eye(n), rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        J=st.sampled_from([1, 2]),
+        K=st.integers(1, 10),
+        extra=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_inverse_of_the_system_gram(self, J, K, extra, seed):
+        rng = seeded_rng(seed)
+        X = random_complex(rng, 3, J * K + extra, J * K)  # a stack of 3, M >= J K
+        R = X.conj().swapaxes(-1, -2) @ X
+        betas = 1.0 - rng.uniform(0.0, 1.0, (3, K))  # in (0, 1]
+        maps = slot_maps(K, J)
+        want = np.diagonal(exact_inverse(system_gram(R, betas, maps)), axis1=-2, axis2=-1)
+        got = system_inverse_diagonal(exact_inverse(R), betas, maps)
+        assert got.shape == want.shape
+        # both inverses round at about eps cond(R), which the rank edge M = J K can make large
+        tol = max(1e-12, 16 * np.finfo(float).eps * np.linalg.cond(R).max())
+        assert np.max(np.abs(got - want) / np.abs(want)) <= tol
 
 
 class TestLargeM:

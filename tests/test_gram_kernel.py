@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from cfstbc import (
     Inversion,
     ScenarioConfig,
+    SingularMatrixError,
     equivalent_channel,
+    exact_inverse,
     slot_maps,
     system_gram,
     system_matched,
 )
 from cfstbc import simulate
+from cfstbc.cli import main
 from cfstbc.simulate import PURPOSES, _fold, _stream_fields, _streams
 from helpers import (
     FlopCounter,
@@ -162,7 +165,13 @@ def test_se_trials_match_oracle(decoder, inversion, antennas, noise_term):
 
 @pytest.mark.parametrize(
     "decoder,inversion,antennas,ber",
-    [("zf", "exact", 2, True), ("mmse", "neumann:2", 1, True), ("mmse", "exact", 2, False)],
+    [
+        ("zf", "exact", 2, True),
+        ("mmse", "neumann:2", 1, True),
+        ("mmse", "exact", 2, False),
+        ("zf", "exact", 2, False),
+        ("zf", "exact", 1, False),
+    ],
 )
 def test_blocks_do_not_change_a_chunk(monkeypatch, decoder, inversion, antennas, ber):
     """One trial a block gives the same chunk as the default blocks.
@@ -421,3 +430,54 @@ def test_nonfinite_fading_fails_in_the_kernel(monkeypatch, ber):
     monkeypatch.setattr(simulate, "_streams", lambda *args: itertools.repeat(stand_in))
     with pytest.raises(ValueError, match="finite"):
         simulate._chunk(cfg, ((cfg.M, 1.0),), 0, 3, ber)
+
+
+@pytest.mark.parametrize("antennas", [2, 1], ids=["dual", "single"])
+def test_singular_fading_raises_the_system_grams_pivot(monkeypatch, tmp_path, capsys, antennas):
+    """Exact ZF SE inverts R = H^H H; when R is singular the block inverts Z
+    instead, so the error carries Z's pivot, and ``cfstbc se`` exits 3.
+
+    BS 1's fading rows of user 1 are zeroed from the second trial on; the
+    first trial, the only one sampled for margins, stays regular. Both of a
+    dual-antenna user's rows are zeroed: with one, Z's diagonal stays
+    nonzero and its rounded Cholesky factorization can pass.
+    """
+    cfg = _config(
+        "zf", "exact", antennas, L=2, K=3, rho_fixed=10.0, master_seed=5, margin_trials=1
+    )
+    m, rows = 8, slice(antennas, 2 * antennas)  # rows J k + j of user k = 1
+    drawn, real_draw, real_fading = [], simulate._draw, simulate._fading
+
+    def draw(*args):
+        out = real_draw(*args)
+        drawn.append([out[0]])
+        return out
+
+    def fading(normals, m, J):
+        X = real_fading(normals, m, J)
+        if len(drawn) > 1:
+            X[1, rows] = 0.0
+        drawn[-1].append(X)
+        return X
+
+    monkeypatch.setattr(simulate, "_draw", draw)
+    monkeypatch.setattr(simulate, "_fading", fading)
+    with pytest.raises(SingularMatrixError) as err:
+        simulate._chunk(cfg, ((m, cfg.rho_fixed),), 0, 2, False)
+    betas = np.stack([b for b, _ in drawn])
+    X = np.stack([x for _, x in drawn])
+    R = X.conj() @ X.swapaxes(-1, -2)
+    with pytest.raises(SingularMatrixError) as want:
+        exact_inverse(system_gram(R, betas, slot_maps(cfg.K, antennas)))
+    with pytest.raises(SingularMatrixError) as fading_pivot:
+        exact_inverse(R)
+    assert err.value.pivot == want.value.pivot
+    if antennas == 2:  # Z's pivot is not R's, so the comparison shows whose it is
+        assert fading_pivot.value.pivot != want.value.pivot
+    out = tmp_path / "never.csv"
+    argv = f"se --L 2 --K 3 --user-antennas {antennas} --M-grid {m} --trials 2"
+    argv += f" --margin-trials 1 --seed 5 --workers 1 --quiet --out {out}"
+    drawn.clear()
+    capsys.readouterr()
+    assert main(argv.split()) == 3
+    assert f"pivot at index {want.value.pivot}" in capsys.readouterr().err
